@@ -20,7 +20,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from .bsml import apply, mkpar, nprocs, proj, put
 from .errors import UsageError, ValidationError
-from .library import split_blocks
+from .library import broadcast, split_blocks
 from .model import ParVec
 from .sgl import gather, lmap, scatter
 
@@ -61,12 +61,6 @@ def distribute(xs: Sequence) -> DistArray:
 
 
 # --- elementary collectives -------------------------------------------------
-
-
-def broadcast(root: int, value) -> ParVec:
-    """All pids end up holding value; one superstep, h = (p-1) * size(value)."""
-    p = nprocs()
-    return scatter(root, [value] * p)
 
 
 def total_exchange(n: int) -> ParVec:

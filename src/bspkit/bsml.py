@@ -112,7 +112,7 @@ def _dense_plan(src: int, entry: Any, p: int) -> list:
         return row
     if isinstance(entry, Mapping):
         for d, msg in entry.items():
-            if not isinstance(d, int) or not 0 <= d < p:
+            if isinstance(d, bool) or not isinstance(d, int) or not 0 <= d < p:
                 raise RoutingError(f"pid {src} sends to invalid destination {d!r} (p={p})")
             row[d] = msg
         return row

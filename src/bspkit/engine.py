@@ -26,10 +26,9 @@ from .errors import CapacityError, ProgramError, UsageError
 from .model import (
     CommMatrix,
     CostTrace,
-    Leaf,
     Machine,
-    Node,
     SuperstepRecord,
+    as_tree,
     default_sizing,
     machine_to_dict,
     total_p,
@@ -46,7 +45,10 @@ _CURRENT: ContextVar["RunContext | None"] = ContextVar("bspkit_run_context", def
 
 
 class RunContext:
-    """Mutable state of one run: machine, open superstep, trace so far."""
+    """Mutable state of one run: machine tree, open superstep, trace so far.
+
+    ``sgl_only`` rejects put and proj; only ``sgl.run_nested`` sets it.
+    """
 
     def __init__(
         self,
@@ -56,12 +58,12 @@ class RunContext:
         pool: ThreadPoolExecutor | None = None,
         sgl_only: bool = False,
     ):
-        self.machine = machine
+        self.machine = as_tree(machine)
         self.backend = backend
         self.p = total_p(machine)
         self.sizing = sizing if sizing is not None else default_sizing
         self.pool = pool
-        self.sgl_only = sgl_only or isinstance(machine, (Leaf, Node))
+        self.sgl_only = sgl_only
         self.sgl_impl = None  # installed lazily by the sgl module
         self.steps: list[SuperstepRecord] = []
         self.open_work = [0] * self.p

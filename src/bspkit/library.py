@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .bsml import nprocs
+from .model import ParVec
 from .sgl import gather, lmap, scatter
 
 
@@ -144,10 +145,10 @@ def par_matvec(rows: Sequence[Sequence], vec: Sequence) -> list:
     return _concat(gather(0, partial))
 
 
-def par_broadcast(value) -> list:
-    """One-to-many: every pid ends up holding value; p copies returned."""
+def broadcast(root: int, value) -> ParVec:
+    """All pids end up holding value; one superstep, on a flat machine h = (p-1) * size(value)."""
     p = nprocs()
-    return list(scatter(0, [value] * p))
+    return scatter(root, [value] * p)
 
 
 # --- the expressiveness basis ---------------------------------------------------
@@ -246,7 +247,7 @@ BASIC_API: tuple[BasicOp, ...] = (
     ),
     BasicOp(
         "broadcast",
-        lambda value: par_broadcast(value),
+        lambda value: list(broadcast(0, value)),
         lambda p, value: [value] * p,
         lambda rng, n: (tuple(_ints(rng, min(n, 8))),),
     ),

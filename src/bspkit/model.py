@@ -3,8 +3,9 @@
 Every cost in this module is expressed in abstract time-units: a superstep
 with per-pid local work ``w``, communication matrix ``C`` and machine
 ``(p, g, l, r)`` costs ``max(w)/r + g*h(C) + l``, where ``h`` is the
-h-relation of ``C``.  Nothing here performs I/O with the outside world except
-the JSON/CSV serializers at the bottom.
+h-relation of ``C``.  A flat machine is a one-leaf tree, and one recursive
+rule (``step_cost``) prices a superstep on any tree.  Nothing here performs
+I/O with the outside world except the JSON/CSV serializers at the bottom.
 """
 
 from __future__ import annotations
@@ -71,6 +72,11 @@ MachineTree = Union[Leaf, Node]
 Machine = Union[MachineConfig, Leaf, Node]
 
 
+def as_tree(machine: Machine) -> MachineTree:
+    """The machine as a tree: a flat machine is a one-leaf tree."""
+    return Leaf(machine) if isinstance(machine, MachineConfig) else machine
+
+
 def total_p(machine: Machine) -> int:
     """Total number of workers: leaf p summed over the whole tree."""
     if isinstance(machine, MachineConfig):
@@ -80,22 +86,6 @@ def total_p(machine: Machine) -> int:
     return sum(total_p(c) for c in machine.children)
 
 
-def leaf_spans(tree: MachineTree) -> list[tuple[MachineConfig, int]]:
-    """(leaf config, first global pid) for each leaf, in pid order."""
-    spans: list[tuple[MachineConfig, int]] = []
-
-    def walk(t: MachineTree, base: int) -> int:
-        if isinstance(t, Leaf):
-            spans.append((t.config, base))
-            return base + t.config.p
-        for child in t.children:
-            base = walk(child, base)
-        return base
-
-    walk(tree, 0)
-    return spans
-
-
 def machine_from_dict(obj: dict) -> Machine:
     """Parse a machine from its JSON form.
 
@@ -103,7 +93,7 @@ def machine_from_dict(obj: dict) -> Machine:
     "g": 2, "l": 20}`` is a tree node whose children are parsed recursively.
     """
     if "children" in obj:
-        children = tuple(_subtree_from_dict(c) for c in obj["children"])
+        children = tuple(as_tree(machine_from_dict(c)) for c in obj["children"])
         return Node(children=children, g=float(obj.get("g", DEFAULT_G)), l=float(obj.get("l", DEFAULT_L)))
     return MachineConfig(
         p=int(obj["p"]),
@@ -111,11 +101,6 @@ def machine_from_dict(obj: dict) -> Machine:
         l=float(obj.get("l", DEFAULT_L)),
         r=float(obj.get("r", DEFAULT_R)),
     )
-
-
-def _subtree_from_dict(obj: dict) -> MachineTree:
-    parsed = machine_from_dict(obj)
-    return Leaf(parsed) if isinstance(parsed, MachineConfig) else parsed
 
 
 def machine_to_dict(machine: Machine) -> dict:
@@ -235,66 +220,60 @@ def _as_comm(comm: Union[CommMatrix, Sequence[Sequence[int]]]) -> CommMatrix:
 def h_relation(comm: Union[CommMatrix, Sequence[Sequence[int]]]) -> int:
     """Max over pids of max(words sent, words received), self-sends excluded."""
     m = _as_comm(comm)
-    if m.p == 0:
-        return 0
-    return max(max(m.sent(i), m.received(i)) for i in range(m.p))
+    return _block_h(m.words, 0, m.p)
 
 
-def superstep_cost(work: Sequence[int], comm: Union[CommMatrix, Sequence[Sequence[int]]], machine: MachineConfig) -> float:
-    """Cost of one superstep on a flat machine: max(work)/r + g*h + l."""
-    m = _as_comm(comm)
-    if len(work) != machine.p:
-        raise DimensionError(f"work vector has length {len(work)}, machine has p={machine.p}")
-    if m.p != machine.p:
-        raise DimensionError(f"communication matrix is {m.p}x{m.p}, machine has p={machine.p}")
-    return max(work) / machine.r + machine.g * h_relation(m) + machine.l
+def _block_h(words: Sequence[Sequence[int]], lo: int, hi: int) -> int:
+    """h-relation among pids lo..hi-1, read from the rows and columns of words."""
+    block = [row[lo:hi] for row in words[lo:hi]]
+    sent = max((sum(row) - row[i] for i, row in enumerate(block)), default=0)
+    received = max((sum(col) - col[i] for i, col in enumerate(zip(*block))), default=0)
+    return max(sent, received)
 
 
-def nested_step_cost(work: Sequence[int], comm: Union[CommMatrix, Sequence[Sequence[int]]], tree: MachineTree) -> float:
-    """Cost of one superstep on a machine tree.
+def _leaf_cost(cfg: MachineConfig, max_work: int, h: int) -> float:
+    return max_work / cfg.r + cfg.g * h + cfg.l
 
-    Recursive rule: a node costs g_level * h_level + l_level plus the maximum
-    over its children (independent machines overlap); a leaf costs the flat
-    formula restricted to its pid block.  h_level treats each child as one
+
+def step_cost(work: Sequence[int], comm: Union[CommMatrix, Sequence[Sequence[int]]], machine: Machine) -> float:
+    """Cost of one superstep on any machine; a flat machine is a one-leaf tree.
+
+    Recursive rule: a leaf costs max(w)/r + g*h + l over its pid block; a node
+    costs g_level * h_level + l_level plus the maximum over its children
+    (independent machines overlap).  h_level treats each child as one
     endpoint and counts the words crossing between child blocks.
     """
-    m = _as_comm(comm)
+    words = _as_comm(comm).words
+    tree = as_tree(machine)
     p = total_p(tree)
     if len(work) != p:
-        raise DimensionError(f"work vector has length {len(work)}, tree has p={p}")
-    if m.p != p:
-        raise DimensionError(f"communication matrix is {m.p}x{m.p}, tree has p={p}")
+        raise DimensionError(f"work vector has length {len(work)}, machine has p={p}")
+    if len(words) != p:
+        raise DimensionError(f"communication matrix is {len(words)}x{len(words)}, machine has p={p}")
 
     def cost(t: MachineTree, base: int) -> float:
         if isinstance(t, Leaf):
-            cfg = t.config
-            span = range(base, base + cfg.p)
-            local = CommMatrix([[m.words[s][d] for d in span] for s in span])
-            local_work = [work[i] for i in span]
-            return max(local_work) / cfg.r + cfg.g * h_relation(local) + cfg.l
-        blocks: list[tuple[int, int]] = []
-        b = base
+            end = base + t.config.p
+            return _leaf_cost(t.config, max(work[base:end]), _block_h(words, base, end))
+        blocks = []
         for child in t.children:
-            cp = total_p(child)
-            blocks.append((b, b + cp))
-            b += cp
-        k = len(blocks)
-        cross = [[0] * k for _ in range(k)]
-        for a, (a0, a1) in enumerate(blocks):
-            for c, (c0, c1) in enumerate(blocks):
-                if a != c:
-                    cross[a][c] = sum(m.words[s][d] for s in range(a0, a1) for d in range(c0, c1))
-        h_level = h_relation(cross)
-        child_costs = [cost(child, b0) for child, (b0, _) in zip(t.children, blocks)]
-        return t.g * h_level + t.l + max(child_costs)
+            blocks.append((base, base + total_p(child)))
+            base = blocks[-1][1]
+        cross = [[sum(sum(row[c0:c1]) for row in words[a0:a1]) for c0, c1 in blocks] for a0, a1 in blocks]
+        child_cost = max(cost(child, b0) for child, (b0, _) in zip(t.children, blocks))
+        return t.g * _block_h(cross, 0, len(blocks)) + t.l + child_cost
 
     return cost(tree, 0)
 
 
-def step_cost(work: Sequence[int], comm: Union[CommMatrix, Sequence[Sequence[int]]], machine: Machine) -> float:
-    if isinstance(machine, MachineConfig):
-        return superstep_cost(work, comm, machine)
-    return nested_step_cost(work, comm, machine)
+def superstep_cost(work: Sequence[int], comm: Union[CommMatrix, Sequence[Sequence[int]]], machine: MachineConfig) -> float:
+    """Cost of one superstep on a flat machine: max(work)/r + g*h + l."""
+    return step_cost(work, comm, machine)
+
+
+def nested_step_cost(work: Sequence[int], comm: Union[CommMatrix, Sequence[Sequence[int]]], tree: MachineTree) -> float:
+    """Cost of one superstep on a machine tree, by the recursive rule of step_cost."""
+    return step_cost(work, comm, tree)
 
 
 @dataclass(frozen=True)
@@ -334,16 +313,17 @@ class SuperstepRecord:
     def recost(self, machine: Machine) -> float:
         """Recompute this step's cost for a (possibly different) machine.
 
-        Machine-independent counts (work, h) are re-priced; full work/comm
-        data is required for tree machines, the summary suffices for flat.
+        Machine-independent counts (work, h) are re-priced; the summary
+        suffices for a one-leaf machine, deeper trees need full work/comm data.
         """
-        if isinstance(machine, MachineConfig):
+        tree = as_tree(machine)
+        if isinstance(tree, Leaf):
             if self.max_work is None:
                 raise UsageError("trace record lacks work counts; cannot re-cost")
-            return self.max_work / machine.r + machine.g * self.h + machine.l
+            return _leaf_cost(tree.config, self.max_work, self.h)
         if self.work is None or self.comm is None:
             raise UsageError("trace record lacks full work/comm data; cannot re-cost on a machine tree")
-        return nested_step_cost(self.work, self.comm, machine)
+        return step_cost(self.work, self.comm, tree)
 
     def p(self) -> int | None:
         if self.work is not None:

@@ -1,11 +1,13 @@
-"""Put-free scatter-gather sublanguage over flat machines and machine trees.
+"""Put-free scatter-gather sublanguage over machine trees.
 
 Every global operation is a one-to-many scatter or a many-to-one gather;
-local computation stays in ``lmap``.  On a machine tree the same operations
-route hierarchically: the designated root distributes whole blocks to the
-addressing root of each child (the first pid of the child's span), which then
-scatters internally, and gather mirrors that.  Sibling subtrees are
-independent machines, so their phase costs overlap (max, not sum).
+local computation stays in ``lmap``.  Every machine is routed as a tree, a
+flat machine being a one-leaf tree: the designated root distributes whole
+blocks to the addressing root of each child (the first pid of the child's
+span), which then scatters internally.  Gather is the same walk with every
+send reversed.  Sibling subtrees are independent machines, so their phase
+costs overlap (max, not sum).  ``run_nested`` runs a program as SGL only,
+rejecting put and proj; ``translate_to_bsml`` swaps in put-based routing.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .model import (
     CostTrace,
     Leaf,
     Machine,
-    MachineConfig,
     MachineTree,
     Node,
     ParVec,
@@ -68,11 +69,10 @@ def lmap(f: Callable, pv: ParVec, *, work: Any = 1) -> ParVec:
 def run_nested(tree: Machine, program: Callable[[], Any], backend: str = "simulate", **kwargs) -> tuple[Any, CostTrace]:
     """Run an SGL-only program on a machine tree; returns (result, trace).
 
-    A flat MachineConfig is accepted and treated as a single leaf.  Programs
-    that invoke put are rejected.
+    A flat MachineConfig is accepted as a one-leaf tree.  Programs that invoke
+    put or proj are rejected: this is the SGL-only entry point.
     """
-    machine: Machine = Leaf(tree) if isinstance(tree, MachineConfig) else tree
-    report = run(program, machine, backend=backend, _sgl_only=True, **kwargs)
+    report = run(program, tree, backend=backend, _sgl_only=True, **kwargs)
     return report.result, report.trace
 
 
@@ -101,90 +101,57 @@ def translate_to_bsml(program: Callable[[], Any]) -> Callable[[], Any]:
 
 def _impl_for(ctx: RunContext):
     if ctx.sgl_impl is None:
-        ctx.sgl_impl = _TreeSgl() if isinstance(ctx.machine, (Leaf, Node)) else _FlatSgl()
+        ctx.sgl_impl = _TreeSgl()
     return ctx.sgl_impl
 
 
 def _check_root(ctx: RunContext, root: int) -> None:
-    if not isinstance(root, int) or not 0 <= root < ctx.p:
+    if isinstance(root, bool) or not isinstance(root, int) or not 0 <= root < ctx.p:
         raise RoutingError(f"root pid {root!r} out of range 0..{ctx.p - 1}")
 
 
-class _FlatSgl:
-    """Direct single-level routing on a flat machine."""
+def _scatter_sends(tree: MachineTree, root: int, sizes: list[int]) -> list[tuple[int, int, int]]:
+    """(source, dest, words) of a scatter from root over the machine tree.
 
-    def scatter(self, ctx: RunContext, root: int, chunks: tuple) -> ParVec:
-        sizes = [ctx.sizing(c) for c in chunks]
-        sends = [(root, d, sizes[d]) for d in range(ctx.p) if d != root]
-        for _s, d, w in sends:
-            ctx.add_alloc(d, w)
-        ctx.close_superstep(CommMatrix.from_sends(ctx.p, sends))
-        return ParVec(chunks)
+    Each child that does not hold the data receives its whole block at its
+    first pid, which then scatters within the child.
+    """
+    sends: list[tuple[int, int, int]] = []
 
-    def gather(self, ctx: RunContext, root: int, pv: ParVec) -> list:
-        sizes = [ctx.sizing(v) for v in pv.elems]
-        sends = [(s, root, sizes[s]) for s in range(ctx.p) if s != root]
-        ctx.add_alloc(root, sum(w for _s, _d, w in sends))
-        ctx.close_superstep(CommMatrix.from_sends(ctx.p, sends))
-        return list(pv.elems)
+    def route(t: MachineTree, base: int, holder: int) -> None:
+        if isinstance(t, Leaf):
+            sends.extend((holder, d, sizes[d]) for d in range(base, base + t.config.p) if d != holder)
+            return
+        for child in t.children:
+            end = base + total_p(child)
+            if base <= holder < end:
+                route(child, base, holder)
+            else:
+                sends.append((holder, base, sum(sizes[base:end])))
+                route(child, base, base)
+            base = end
+
+    route(tree, 0, root)
+    return sends
 
 
 class _TreeSgl:
-    """Hierarchical routing: blocks move level by level through child roots."""
+    """Hierarchical routing; gather moves the words of scatter's sends backwards."""
 
     def scatter(self, ctx: RunContext, root: int, chunks: tuple) -> ParVec:
-        sizes = [ctx.sizing(c) for c in chunks]
-        sends: list[tuple[int, int, int]] = []
-
-        def route(t: MachineTree, base: int, holder: int) -> None:
-            if isinstance(t, Leaf):
-                for d in range(base, base + t.config.p):
-                    if d != holder:
-                        sends.append((holder, d, sizes[d]))
-                return
-            b = base
-            for child in t.children:
-                cp = total_p(child)
-                if b <= holder < b + cp:
-                    route(child, b, holder)
-                else:
-                    block = sum(sizes[d] for d in range(b, b + cp))
-                    sends.append((holder, b, block))
-                    route(child, b, b)
-                b += cp
-
-        route(ctx.machine, 0, root)
-        for _s, d, w in sends:
-            ctx.add_alloc(d, w)
-        ctx.close_superstep(CommMatrix.from_sends(ctx.p, sends))
+        self._close(ctx, _scatter_sends(ctx.machine, root, [ctx.sizing(c) for c in chunks]))
         return ParVec(chunks)
 
     def gather(self, ctx: RunContext, root: int, pv: ParVec) -> list:
-        sizes = [ctx.sizing(v) for v in pv.elems]
-        sends: list[tuple[int, int, int]] = []
+        sends = _scatter_sends(ctx.machine, root, [ctx.sizing(v) for v in pv.elems])
+        self._close(ctx, [(d, s, w) for s, d, w in sends])
+        return list(pv.elems)
 
-        def route(t: MachineTree, base: int, collector: int) -> None:
-            if isinstance(t, Leaf):
-                for s in range(base, base + t.config.p):
-                    if s != collector:
-                        sends.append((s, collector, sizes[s]))
-                return
-            b = base
-            for child in t.children:
-                cp = total_p(child)
-                if b <= collector < b + cp:
-                    route(child, b, collector)
-                else:
-                    route(child, b, b)
-                    block = sum(sizes[s] for s in range(b, b + cp))
-                    sends.append((b, collector, block))
-                b += cp
-
-        route(ctx.machine, 0, root)
+    @staticmethod
+    def _close(ctx: RunContext, sends: list[tuple[int, int, int]]) -> None:
         for _s, d, w in sends:
             ctx.add_alloc(d, w)
         ctx.close_superstep(CommMatrix.from_sends(ctx.p, sends))
-        return list(pv.elems)
 
 
 class _BsmlSgl:

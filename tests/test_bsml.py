@@ -197,11 +197,13 @@ class TestPut:
         assert first == second
 
     def test_out_of_range_destination(self):
-        def program():
-            return put(mkpar(lambda s: {9: "x"}, work=0))
+        for dest in (9, True):
 
-        with pytest.raises(RoutingError, match=r"pid 0.*9"):
-            simulate(program)
+            def program(dest=dest):
+                return put(mkpar(lambda s: {dest: "x"}, work=0))
+
+            with pytest.raises(RoutingError, match=rf"pid 0.*{dest}"):
+                simulate(program)
 
     def test_self_send_delivered_but_free(self):
         def program():

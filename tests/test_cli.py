@@ -70,6 +70,14 @@ class TestRun:
         report = read_json(out)
         assert report["machine"]["children"][0]["p"] == 2
 
+    def test_put_algorithm_on_machine_tree(self, tmp_path):
+        cfg = tmp_path / "tree.json"
+        cfg.write_text(json.dumps({"children": [{"p": 2, "g": 1, "l": 10}, {"p": 2, "g": 1, "l": 10}], "g": 2, "l": 20}))
+        tree_out, flat_out = tmp_path / "tree.json.out", tmp_path / "flat.json.out"
+        assert main(["run", "--algo", "samplesort", "--machine", str(cfg), "--n", "50", "--out", str(tree_out)]) == 0
+        assert main(["run", "--algo", "samplesort", "--p", "4", "--n", "50", "--out", str(flat_out)]) == 0
+        assert read_json(tree_out)["result_digest"] == read_json(flat_out)["result_digest"]
+
     def test_program_error_exit_1_and_partial_trace(self, tmp_path, monkeypatch):
         def bad_builder(n, seed, distribution):
             from bspkit.bsml import mkpar, put

@@ -10,7 +10,8 @@ from bspkit import MachineConfig, apply, estimate_runtime, mkpar, nprocs, proj, 
 from bspkit.algorithms import ALGORITHMS, build_program
 from bspkit.engine import DEFAULT_WORKER_CAP, make_environment, stable_digest
 from bspkit.errors import CapacityError, ProgramError, UsageError
-from bspkit.model import Leaf, MachineConfig as MC, Node, step_cost
+from bspkit.checks import two_by_two_tree
+from bspkit.model import Leaf, MachineConfig as MC, Node, step_cost, trace_from_csv, trace_to_csv
 
 M4 = MachineConfig(p=4, g=1.0, l=10.0)
 
@@ -64,6 +65,15 @@ class TestRun:
             return None
 
         assert run(program, M4).trace.sync_count == 1
+
+    def test_put_on_a_tree_priced_by_the_recursive_rule(self):
+        tree = two_by_two_tree()
+        report = run(build_program("samplesort", 40, seed=6), tree)
+        assert report.result_digest == run(build_program("samplesort", 40, seed=6), M4).result_digest
+        assert report.machine is tree
+        assert report.trace.sync_count > 1
+        for step in report.trace.steps:
+            assert step.cost == step_cost(step.work, step.comm, tree)
 
 
 class TestAbort:
@@ -148,6 +158,17 @@ class TestEstimateRuntime:
         trace = trace_totals([SuperstepRecord.from_summary(0, max_work=None, h=1, words=1, cost=11.0)])
         with pytest.raises(UsageError):
             estimate_runtime(trace, M4)
+
+    def test_csv_trace_recosts_on_a_one_leaf_tree(self):
+        cfg = MC(p=4, g=1.0, l=10.0)
+
+        def ring():
+            p = nprocs()
+            return put(mkpar(lambda s: {(s + 1) % p: s}, work=3))
+
+        trace = trace_from_csv(trace_to_csv(run(ring, cfg).trace))
+        assert estimate_runtime(trace, cfg) == 14.0  # work 3 + g*h 1 + l 10
+        assert estimate_runtime(trace, Leaf(cfg)) == 14.0
 
     def test_recost_on_machine_tree(self):
         from bspkit import run_nested, scatter

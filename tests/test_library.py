@@ -8,7 +8,7 @@ from bspkit import MachineConfig, run
 from bspkit.checks import sgl_expressiveness
 from bspkit.library import (
     BASIC_API,
-    par_broadcast,
+    broadcast,
     par_dot,
     par_filter,
     par_histogram,
@@ -79,7 +79,7 @@ class TestOps:
         assert at_p4(par_matvec, rows, [10, 20]) == [10, 20, 80]
 
     def test_broadcast(self):
-        assert at_p4(par_broadcast, ("v",)) == [("v",)] * 4
+        assert list(at_p4(broadcast, 0, ("v",))) == [("v",)] * 4
 
     def test_scan_sync_count_constant(self):
         for n in (3, 300):

@@ -1,0 +1,108 @@
+"""Property tests over random machine trees (depth <= 3) and flat machines (p <= 8)."""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bspkit import Leaf, MachineConfig, Node, gather, lmap, mkpar, put, run, run_nested, scatter
+from bspkit.model import step_cost, total_p
+
+PARAMS = st.sampled_from((0.5, 1.0, 2.0))
+LATENCIES = st.sampled_from((0.0, 5.0, 10.0))
+
+flat_machines = st.builds(MachineConfig, p=st.integers(1, 8), g=PARAMS, l=LATENCIES, r=PARAMS)
+
+
+def trees(depth: int):
+    """Machine trees with at most ``depth`` levels of nodes above the leaves."""
+    leaves = st.builds(Leaf, st.builds(MachineConfig, p=st.integers(1, 3), g=PARAMS, l=LATENCIES, r=PARAMS))
+    if depth == 0:
+        return leaves
+    nodes = st.builds(Node, children=st.lists(trees(depth - 1), min_size=1, max_size=3), g=PARAMS, l=LATENCIES)
+    return st.one_of(leaves, nodes)
+
+
+machines = st.one_of(flat_machines, trees(3))
+
+
+@st.composite
+def sgl_programs(draw, p: int):
+    """A scatter / lmap / gather pipeline over random blocks, with random roots and work."""
+    blocks = draw(st.lists(st.lists(st.integers(-9, 9), max_size=4).map(tuple), min_size=p, max_size=p))
+    rounds = draw(st.lists(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1), st.integers(0, 3)), min_size=1, max_size=3))
+
+    def program():
+        current = blocks
+        for src, dst, work in rounds:
+            pv = lmap(lambda blk: tuple(2 * v + 1 for v in blk), scatter(src, current), work=work)
+            current = gather(dst, pv)
+        return current
+
+    return program
+
+
+@st.composite
+def put_programs(draw, p: int):
+    """One put of random-size messages between random pid pairs."""
+    plans = draw(st.lists(st.dictionaries(st.integers(0, p - 1), st.lists(st.integers(0, 9), max_size=3).map(tuple), max_size=p), min_size=p, max_size=p))
+    return lambda: put(mkpar(lambda s: plans[s], work=lambda s: s + 1))
+
+
+def step_tuples(trace):
+    return [(s.index, s.h, s.words, s.max_work, s.cost, s.work, s.comm) for s in trace.steps]
+
+
+def reference_cost(work, comm, tree) -> float:
+    """The recursive rule with every h counted cell by cell over explicit pid blocks."""
+
+    def h(pids_of) -> int:
+        k = len(pids_of)
+        cell = [[sum(comm.words[s][d] for s in pids_of[a] for d in pids_of[c]) for c in range(k)] for a in range(k)]
+        return max(max(sum(cell[i][c] for c in range(k) if c != i), sum(cell[a][i] for a in range(k) if a != i)) for i in range(k))
+
+    def cost(t, base: int) -> float:
+        if isinstance(t, Leaf):
+            pids = range(base, base + t.config.p)
+            return max(work[i] for i in pids) / t.config.r + t.config.g * h([[i] for i in pids]) + t.config.l
+        spans, b = [], base
+        for child in t.children:
+            spans.append(range(b, b + total_p(child)))
+            b += total_p(child)
+        return t.g * h([list(s) for s in spans]) + t.l + max(cost(c, s.start) for c, s in zip(t.children, spans))
+
+    return cost(tree, 0)
+
+
+@given(machines, st.data())
+@settings(max_examples=80, deadline=None)
+def test_gather_moves_the_transpose_of_scatter(machine, data):
+    p = total_p(machine)
+    root = data.draw(st.integers(0, p - 1))
+    chunks = data.draw(st.lists(st.lists(st.integers(0, 9), max_size=4).map(tuple), min_size=p, max_size=p))
+    _res, trace = run_nested(machine, lambda: gather(root, scatter(root, chunks)))
+    down, up = trace.steps
+    assert up.comm == down.comm.transpose()
+    assert (up.h, up.words, up.cost) == (down.h, down.words, down.cost)
+
+
+@given(flat_machines, st.data())
+@settings(max_examples=60, deadline=None)
+def test_flat_run_equals_one_leaf_run_nested(cfg, data):
+    program = data.draw(sgl_programs(cfg.p))
+    report = run(program, cfg)
+    result, trace = run_nested(Leaf(cfg), program)
+    assert report.machine is cfg
+    assert result == report.result
+    assert step_tuples(trace) == step_tuples(report.trace)
+
+
+@given(trees(3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_stored_tree_costs_follow_the_recursive_rule(tree, data):
+    p = total_p(tree)
+    _res, sgl_trace = run_nested(tree, data.draw(sgl_programs(p)))
+    put_trace = run(data.draw(put_programs(p)), tree).trace
+    for step in sgl_trace.steps + put_trace.steps:
+        assert step.cost == step_cost(step.work, step.comm, tree) == reference_cost(step.work, step.comm, tree)
+        assert step.recost(tree) == step.cost

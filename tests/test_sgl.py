@@ -57,8 +57,9 @@ class TestScatter:
             run(lambda: scatter(0, [1, 2]), M3)
 
     def test_root_out_of_range(self):
-        with pytest.raises(RoutingError):
-            run(lambda: scatter(7, [1, 2, 3]), M3)
+        for root in (7, True):
+            with pytest.raises(RoutingError):
+                run(lambda: scatter(root, [1, 2, 3]), M3)
 
 
 class TestGather:
@@ -77,8 +78,9 @@ class TestGather:
         assert report.trace.steps[0].h == 0
 
     def test_root_out_of_range(self):
-        with pytest.raises(RoutingError):
-            run(lambda: gather(-1, mkpar(lambda i: i, work=0)), M3)
+        for root in (-1, True):
+            with pytest.raises(RoutingError):
+                run(lambda: gather(root, mkpar(lambda i: i, work=0)), M3)
 
 
 class TestLmap:
