@@ -146,7 +146,7 @@ def sample_sort(d: DistArray) -> DistArray:
         return tuple(samples[min((k * m) // p, m - 1)] for k in range(1, p))
 
     splitter_plans = _papply(
-        lambda i, rows: {d_: pick_splitters(rows) for d_ in range(p)} if i == 0 else {},
+        lambda i, rows: dict.fromkeys(range(p), pick_splitters(rows)) if i == 0 else {},
         at_root,
         work=lambda rows: sum(len(r) for r in rows if r) or 1,
     )

@@ -63,7 +63,7 @@ def proj(pv: ParVec) -> tuple:
     sizes = [ctx.sizing(v) for v in pv.elems]
     comm = CommMatrix.from_sends(p, ((s, d, sizes[s]) for s in range(p) for d in range(p) if s != d))
     for d in range(p):
-        ctx.add_alloc(d, sum(sizes[s] for s in range(p) if s != d))
+        ctx.add_alloc(d, comm.received(d))
     ctx.close_superstep(comm)
     return tuple(pv.elems)
 
@@ -91,7 +91,7 @@ def put(plan: ParVec) -> ParVec:
             if msg is not None and s != d
         ),
     )
-    receptions = [tuple(sends[s][d] for s in range(p)) for d in range(p)]
+    receptions = list(zip(*sends))
     for d in range(p):
         ctx.add_alloc(d, comm.received(d))
     ctx.close_superstep(comm)

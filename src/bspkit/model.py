@@ -13,10 +13,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+from array import array
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence, Union
 
-from .errors import DimensionError, UsageError
+from .errors import DimensionError, RoutingError, UsageError
 
 #: Default BSP parameters.  The underlying model fixes no numbers; these are
 #: configurable everywhere a machine can be supplied.
@@ -35,7 +36,7 @@ class MachineConfig:
     r: float = DEFAULT_R
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or self.p < 1:
+        if isinstance(self.p, bool) or not isinstance(self.p, int) or self.p < 1:
             raise DimensionError(f"p must be an integer >= 1, got {self.p!r}")
         if not self.g > 0:
             raise DimensionError(f"g must be > 0, got {self.g!r}")
@@ -95,8 +96,11 @@ def machine_from_dict(obj: dict) -> Machine:
     if "children" in obj:
         children = tuple(as_tree(machine_from_dict(c)) for c in obj["children"])
         return Node(children=children, g=float(obj.get("g", DEFAULT_G)), l=float(obj.get("l", DEFAULT_L)))
+    p = obj["p"]
+    if isinstance(p, float) and p.is_integer():
+        p = int(p)
     return MachineConfig(
-        p=int(obj["p"]),
+        p=p,
         g=float(obj.get("g", DEFAULT_G)),
         l=float(obj.get("l", DEFAULT_L)),
         r=float(obj.get("r", DEFAULT_R)),
@@ -155,62 +159,122 @@ def default_sizing(value: Any) -> int:
 
 
 class CommMatrix:
-    """p x p matrix of words sent per (source, destination) in one superstep."""
+    """p x p matrix of words sent per (source, destination) in one superstep.
 
-    __slots__ = ("words",)
+    Stored sparse: the non-zero cells as ascending keys ``s * p + d`` with
+    their word counts, plus each pid's off-diagonal sent and received totals.
+    Building costs O(nnz + p) when the cells arrive in key order (O(nnz log
+    nnz) otherwise); ``words`` is a dense view built on demand in O(p^2).
+    """
+
+    __slots__ = ("p", "_keys", "_vals", "_sent", "_received")
 
     def __init__(self, words: Iterable[Iterable[int]]):
-        rows = tuple(tuple(int(w) for w in row) for row in words)
+        rows = [tuple(row) for row in words]
         p = len(rows)
         for row in rows:
             if len(row) != p:
                 raise DimensionError(f"communication matrix must be square, got row of length {len(row)} in a {p}-row matrix")
-            for w in row:
+        self._fill(p, ((s, d, int(w)) for s, row in enumerate(rows) for d, w in enumerate(row)))
+
+    def _fill(self, p: int, sends: Iterable[tuple[int, int, int]]) -> None:
+        """Validate the sends and store their sum: one pass, merged by key only if out of order."""
+        if isinstance(p, bool) or not isinstance(p, int) or p < 0:
+            raise DimensionError(f"communication matrix size must be an integer >= 0, got {p!r}")
+        keys, vals = array("q"), array("q")
+        add_key, add_val = keys.append, vals.append
+        sent, received = [0] * p, [0] * p
+        last, ordered = -1, True
+        for s, d, w in sends:
+            if not (0 <= s < p and 0 <= d < p):
+                raise RoutingError(f"send from pid {s!r} to pid {d!r} outside 0..{p - 1}")
+            if w <= 0:
                 if w < 0:
                     raise DimensionError(f"negative word count {w} in communication matrix")
-        object.__setattr__(self, "words", rows)
+                continue
+            try:
+                add_val(w)
+            except (TypeError, OverflowError):
+                raise DimensionError(f"word count {w!r} in communication matrix is not an integer below 2**63") from None
+            key = s * p + d
+            if key <= last:
+                ordered = False
+            last = key
+            add_key(key)
+            if s != d:
+                sent[s] += w
+                received[d] += w
+        if not ordered:
+            keys, vals = _merge_cells(keys, vals)
+        for name, value in (("p", p), ("_keys", keys), ("_vals", vals), ("_sent", sent), ("_received", received)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("CommMatrix is immutable")
 
     @classmethod
     def zeros(cls, p: int) -> CommMatrix:
-        return cls([[0] * p for _ in range(p)])
+        return cls.from_sends(p, ())
 
     @classmethod
     def from_sends(cls, p: int, sends: Iterable[tuple[int, int, int]]) -> CommMatrix:
         """Build from (source, dest, words) triples; repeated pairs accumulate."""
-        rows = [[0] * p for _ in range(p)]
-        for s, d, w in sends:
-            rows[s][d] += w
-        return cls(rows)
+        m = cls.__new__(cls)
+        m._fill(p, sends)
+        return m
 
     @property
-    def p(self) -> int:
-        return len(self.words)
+    def words(self) -> tuple[tuple[int, ...], ...]:
+        """The dense p x p rows, built on demand."""
+        rows = [[0] * self.p for _ in range(self.p)]
+        for s, d, w in self._cells():
+            rows[s][d] = w
+        return tuple(map(tuple, rows))
+
+    def _cells(self) -> Iterator[tuple[int, int, int]]:
+        """(source, dest, words) of every non-zero cell, in row-major order."""
+        p = self.p
+        for key, w in zip(self._keys, self._vals):
+            s, d = divmod(key, p)
+            yield s, d, w
 
     def sent(self, pid: int) -> int:
         """Words pid sends off-processor (diagonal excluded)."""
-        return sum(w for d, w in enumerate(self.words[pid]) if d != pid)
+        return self._sent[pid]
 
     def received(self, pid: int) -> int:
         """Words pid receives from other processors (diagonal excluded)."""
-        return sum(row[pid] for s, row in enumerate(self.words) if s != pid)
+        return self._received[pid]
 
     def total_words(self) -> int:
-        return sum(sum(row) for row in self.words)
+        return sum(self._vals)
 
     def transpose(self) -> CommMatrix:
-        return CommMatrix(zip(*self.words))
+        return CommMatrix.from_sends(self.p, ((d, s, w) for s, d, w in self._cells()))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, CommMatrix) and self.words == other.words
+        return isinstance(other, CommMatrix) and self.p == other.p and self._keys == other._keys and self._vals == other._vals
 
     def __hash__(self) -> int:
-        return hash(self.words)
+        return hash((self.p, self._keys.tobytes(), self._vals.tobytes()))
 
     def __repr__(self) -> str:
         return f"CommMatrix({list(map(list, self.words))!r})"
+
+
+def _merge_cells(keys: array, vals: array) -> tuple[array, array]:
+    """Sort cells by key and sum the words of repeated keys."""
+    merged_keys, merged_vals = array("q"), array("q")
+    last = -1
+    for i in sorted(range(len(keys)), key=keys.__getitem__):
+        key = keys[i]
+        if key == last:
+            merged_vals[-1] += vals[i]
+        else:
+            merged_keys.append(key)
+            merged_vals.append(vals[i])
+            last = key
+    return merged_keys, merged_vals
 
 
 def _as_comm(comm: Union[CommMatrix, Sequence[Sequence[int]]]) -> CommMatrix:
@@ -220,15 +284,11 @@ def _as_comm(comm: Union[CommMatrix, Sequence[Sequence[int]]]) -> CommMatrix:
 def h_relation(comm: Union[CommMatrix, Sequence[Sequence[int]]]) -> int:
     """Max over pids of max(words sent, words received), self-sends excluded."""
     m = _as_comm(comm)
-    return _block_h(m.words, 0, m.p)
+    return _h(m._sent, m._received)
 
 
-def _block_h(words: Sequence[Sequence[int]], lo: int, hi: int) -> int:
-    """h-relation among pids lo..hi-1, read from the rows and columns of words."""
-    block = [row[lo:hi] for row in words[lo:hi]]
-    sent = max((sum(row) - row[i] for i, row in enumerate(block)), default=0)
-    received = max((sum(col) - col[i] for i, col in enumerate(zip(*block))), default=0)
-    return max(sent, received)
+def _h(sent: Sequence[int], received: Sequence[int]) -> int:
+    return max(max(sent, default=0), max(received, default=0))
 
 
 def _leaf_cost(cfg: MachineConfig, max_work: int, h: int) -> float:
@@ -243,27 +303,46 @@ def step_cost(work: Sequence[int], comm: Union[CommMatrix, Sequence[Sequence[int
     (independent machines overlap).  h_level treats each child as one
     endpoint and counts the words crossing between child blocks.
     """
-    words = _as_comm(comm).words
+    m = _as_comm(comm)
     tree = as_tree(machine)
     p = total_p(tree)
     if len(work) != p:
         raise DimensionError(f"work vector has length {len(work)}, machine has p={p}")
-    if len(words) != p:
-        raise DimensionError(f"communication matrix is {len(words)}x{len(words)}, machine has p={p}")
+    if m.p != p:
+        raise DimensionError(f"communication matrix is {m.p}x{m.p}, machine has p={p}")
+    if isinstance(tree, Leaf):
+        return _leaf_cost(tree.config, max(work), _h(m._sent, m._received))
+    return _tree_cost(tree, work, 0, [cell for cell in m._cells() if cell[0] != cell[1]])
 
-    def cost(t: MachineTree, base: int) -> float:
-        if isinstance(t, Leaf):
-            end = base + t.config.p
-            return _leaf_cost(t.config, max(work[base:end]), _block_h(words, base, end))
-        blocks = []
-        for child in t.children:
-            blocks.append((base, base + total_p(child)))
-            base = blocks[-1][1]
-        cross = [[sum(sum(row[c0:c1]) for row in words[a0:a1]) for c0, c1 in blocks] for a0, a1 in blocks]
-        child_cost = max(cost(child, b0) for child, (b0, _) in zip(t.children, blocks))
-        return t.g * _block_h(cross, 0, len(blocks)) + t.l + child_cost
 
-    return cost(tree, 0)
+def _tree_cost(t: MachineTree, work: Sequence[int], base: int, cells: list[tuple[int, int, int]]) -> float:
+    """Cost of subtree t, whose pids start at base, given the off-diagonal cells inside its block.
+
+    A node hands each child the cells that stay inside it and counts the rest
+    as crossing words, so every level reads each cell once.
+    """
+    if isinstance(t, Leaf):
+        sent, received = [0] * t.config.p, [0] * t.config.p
+        for s, d, w in cells:
+            sent[s - base] += w
+            received[d - base] += w
+        return _leaf_cost(t.config, max(work[base : base + t.config.p]), _h(sent, received))
+    bases, owner = [], []  # first pid of each child; child index of each pid in the block
+    for i, child in enumerate(t.children):
+        bases.append(base + len(owner))
+        owner.extend([i] * total_p(child))
+    k = len(t.children)
+    sent, received = [0] * k, [0] * k
+    inside: list[list[tuple[int, int, int]]] = [[] for _ in range(k)]
+    for cell in cells:
+        a, c = owner[cell[0] - base], owner[cell[1] - base]
+        if a == c:
+            inside[a].append(cell)
+        else:
+            sent[a] += cell[2]
+            received[c] += cell[2]
+    child_cost = max(_tree_cost(child, work, b, inner) for child, b, inner in zip(t.children, bases, inside))
+    return t.g * _h(sent, received) + t.l + child_cost
 
 
 def superstep_cost(work: Sequence[int], comm: Union[CommMatrix, Sequence[Sequence[int]]], machine: MachineConfig) -> float:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from bspkit import MachineConfig, mkpar, run
+from bspkit import MachineConfig, algorithms, mkpar, run
 from bspkit.algorithms import (
     ABSENT,
     ALGORITHMS,
@@ -147,6 +147,22 @@ class TestSampleSort:
     def test_empty_input(self):
         got = run(lambda: sample_sort(distribute([])), M(4)).result
         assert got.to_list() == []
+
+    def test_splitters_sorted_once(self, monkeypatch):
+        # p=16, 100 keys a block: the root gathers p samples from each pid, and
+        # only the splitter step sorts all p*p of them
+        p, xs = 16, gen_keys(1600, seed=3)
+        sizes = []
+
+        def counting_sorted(iterable, **kwargs):
+            out = sorted(iterable, **kwargs)
+            sizes.append(len(out))
+            return out
+
+        monkeypatch.setattr(algorithms, "sorted", counting_sorted, raising=False)
+        got = run(lambda: sample_sort(distribute(xs)), M(p)).result
+        assert got.to_list() == seq_sort(xs)
+        assert sizes.count(p * p) == 1
 
 
 class TestNBody:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bspkit.errors import DimensionError, UsageError
+from bspkit.errors import DimensionError, RoutingError, UsageError
 from bspkit.model import (
     CommMatrix,
     Leaf,
@@ -56,6 +56,18 @@ class TestHRelation:
     def test_negative_rejected(self):
         with pytest.raises(DimensionError):
             CommMatrix([[0, -1], [0, 0]])
+        with pytest.raises(DimensionError):
+            comm_of(2, [(0, 1, -1)])
+
+    @pytest.mark.parametrize("send", [(-1, 0, 5), (0, -1, 5), (3, 0, 5), (0, 3, 5)])
+    def test_out_of_range_pid_rejected(self, send):
+        with pytest.raises(RoutingError):
+            comm_of(3, [send])
+
+    @pytest.mark.parametrize("words", [2.5, 2**63])
+    def test_non_int64_word_count_rejected(self, words):
+        with pytest.raises(DimensionError):
+            comm_of(2, [(0, 1, words)])
 
     @given(
         st.integers(1, 5).flatmap(
@@ -138,6 +150,16 @@ class TestMachineConfig:
             MachineConfig(p=2, l=-1.0)
         with pytest.raises(DimensionError):
             MachineConfig(p=2, r=0.0)
+
+    @pytest.mark.parametrize("p", [True, False, 2.5, "2"])
+    def test_bool_and_non_integral_p_rejected(self, p):
+        with pytest.raises(DimensionError):
+            MachineConfig(p=p)
+        with pytest.raises(DimensionError):
+            machine_from_dict({"p": p})
+
+    def test_integral_float_p_from_json(self):
+        assert machine_from_dict({"p": 4.0}) == MachineConfig(p=4)
 
     def test_json_round_trip_flat(self):
         m = MachineConfig(p=4, g=2.5, l=30.0, r=2.0)

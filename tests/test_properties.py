@@ -1,4 +1,4 @@
-"""Property tests over random machine trees (depth <= 3) and flat machines (p <= 8)."""
+"""Property tests over random machine trees (depth <= 3), flat machines (p <= 8) and send lists (p <= 9)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bspkit import Leaf, MachineConfig, Node, gather, lmap, mkpar, put, run, run_nested, scatter
-from bspkit.model import step_cost, total_p
+from bspkit.model import CommMatrix, h_relation, step_cost, total_p
 
 PARAMS = st.sampled_from((0.5, 1.0, 2.0))
 LATENCIES = st.sampled_from((0.0, 5.0, 10.0))
@@ -55,10 +55,11 @@ def step_tuples(trace):
 
 def reference_cost(work, comm, tree) -> float:
     """The recursive rule with every h counted cell by cell over explicit pid blocks."""
+    words = comm.words
 
     def h(pids_of) -> int:
         k = len(pids_of)
-        cell = [[sum(comm.words[s][d] for s in pids_of[a] for d in pids_of[c]) for c in range(k)] for a in range(k)]
+        cell = [[sum(words[s][d] for s in pids_of[a] for d in pids_of[c]) for c in range(k)] for a in range(k)]
         return max(max(sum(cell[i][c] for c in range(k) if c != i), sum(cell[a][i] for a in range(k) if a != i)) for i in range(k))
 
     def cost(t, base: int) -> float:
@@ -106,3 +107,54 @@ def test_stored_tree_costs_follow_the_recursive_rule(tree, data):
     for step in sgl_trace.steps + put_trace.steps:
         assert step.cost == step_cost(step.work, step.comm, tree) == reference_cost(step.work, step.comm, tree)
         assert step.recost(tree) == step.cost
+
+
+@st.composite
+def send_lists(draw):
+    """(p, sends) with self-sends, zero words and repeated (source, dest) pairs."""
+    p = draw(st.integers(1, 9))
+    pids = st.integers(0, p - 1)
+    sends = draw(st.lists(st.tuples(pids, pids, st.integers(0, 9)), max_size=3 * p))
+    if sends:
+        sends += draw(st.lists(st.sampled_from(sends), max_size=p))
+    return p, draw(st.permutations(sends))
+
+
+def dense_reference(p, sends) -> list[list[int]]:
+    rows = [[0] * p for _ in range(p)]
+    for s, d, w in sends:
+        rows[s][d] += w
+    return rows
+
+
+@given(send_lists())
+@settings(max_examples=200, deadline=None)
+def test_sparse_comm_matches_a_dense_reference(case):
+    p, sends = case
+    rows = dense_reference(p, sends)
+    m = CommMatrix.from_sends(p, sends)
+    sent = [sum(rows[i]) - rows[i][i] for i in range(p)]
+    received = [sum(row[i] for row in rows) - rows[i][i] for i in range(p)]
+    assert m.p == p
+    assert m.words == tuple(map(tuple, rows))
+    assert [m.sent(i) for i in range(p)] == sent
+    assert [m.received(i) for i in range(p)] == received
+    assert m.total_words() == sum(map(sum, rows))
+    assert h_relation(m) == h_relation(rows) == max(sent + received)
+    assert m.transpose().words == tuple(zip(*rows))
+    assert m.transpose().transpose() == m
+    dense = CommMatrix(rows)
+    assert m == dense and hash(m) == hash(dense)
+    assert CommMatrix.from_sends(p, reversed(sends)) == m
+    bumped = CommMatrix.from_sends(p, sends + [(0, p - 1, 1)])
+    assert bumped != m and bumped.words != m.words
+
+
+@given(trees(3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_step_cost_on_dense_traffic_follows_the_recursive_rule(tree, data):
+    p = total_p(tree)
+    rows = data.draw(st.lists(st.lists(st.integers(0, 9), min_size=p, max_size=p), min_size=p, max_size=p))
+    work = data.draw(st.lists(st.integers(0, 20), min_size=p, max_size=p))
+    comm = CommMatrix(rows)
+    assert step_cost(work, comm, tree) == step_cost(work, rows, tree) == reference_cost(work, comm, tree)

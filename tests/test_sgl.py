@@ -22,7 +22,7 @@ from bspkit import (
 )
 from bspkit.checks import two_by_two_tree
 from bspkit.errors import DimensionError, RoutingError, UsageError
-from bspkit.library import BASIC_API, split_blocks
+from bspkit.library import BASIC_API, broadcast, split_blocks
 from bspkit.model import ParVec
 
 M3 = MachineConfig(p=3, g=1.0, l=10.0)
@@ -256,3 +256,32 @@ class TestTranslate:
         direct = run(program, M4)
         translated = run(translate_to_bsml(program), M4)
         assert [s.h for s in direct.trace.steps] == [s.h for s in translated.trace.steps]
+
+
+class TestScale:
+    """p=4096 steps are accounted from their non-zero cells: p^2 would be 16.7M cells."""
+
+    def test_broadcast_on_a_64x64_tree(self):
+        leaf = Leaf(MachineConfig(p=64, g=1.0, l=10.0))
+        tree = Node(children=(leaf,) * 64, g=4.0, l=200.0)
+        result, trace = run_nested(tree, lambda: broadcast(5, (1, 2)))
+        assert result == ParVec([(1, 2)] * 4096)
+        (step,) = trace.steps
+        # the root sends 2 words to every other pid, as a whole 128-word block to each
+        # of the 63 other nodes and 2 words to each of the 63 other pids of its own node;
+        # every other node's first pid then sends 2 words to each of its 63 neighbours
+        assert step.h == 2 * 4095
+        assert step.words == 63 * 128 + 64 * 63 * 2
+        assert step.cost == 4.0 * 63 * 128 + 200.0 + (0 + 1.0 * 63 * 2 + 10.0)
+        assert step.comm.sent(5) == 63 * 128 + 63 * 2
+        assert step.comm.received(64) == 128
+
+    def test_flat_scatter(self):
+        cfg = MachineConfig(p=4096, g=2.0, l=50.0)
+        chunks = [(i,) * (i % 3) for i in range(4096)]
+        report = run(lambda: scatter(7, chunks), cfg)
+        (step,) = report.trace.steps
+        words = sum(len(c) for c in chunks) - len(chunks[7])
+        assert (step.h, step.words, step.max_work) == (words, words, 0)
+        assert step.cost == 2.0 * words + 50.0
+        assert report.result == ParVec(chunks)
