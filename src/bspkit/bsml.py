@@ -2,7 +2,8 @@
 
 ``nprocs`` reads the machine width, ``mkpar`` constructs a width-p vector by
 binding pid, ``apply`` transforms one pointwise, and ``put`` exchanges
-messages through a p x p send/receive relation, ending the superstep.
+messages through a p x p send/receive relation, ending the superstep; it
+reads plans sparsely, but its receptions are still p tuples of length p.
 ``proj`` folds a parallel vector back into ordinary sequential data and is
 accounted as an all-to-all replication so that its cost is honest.
 
@@ -12,11 +13,11 @@ context logs declared work and exact word counts for every call.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .engine import RunContext, current_context
 from .errors import DimensionError, RoutingError, UsageError
-from .model import CommMatrix, ParVec
+from .model import ParVec
 
 
 def nprocs() -> int:
@@ -44,9 +45,8 @@ def apply(pf: ParVec, pv: ParVec, *, work: Any = 1) -> ParVec:
     ctx = current_context()
     _check_width(ctx, pf, "function vector")
     _check_width(ctx, pv, "argument vector")
-    return ParVec(
-        ctx.map_pids(lambda i: pf.elems[i](pv.elems[i]), work=work, work_args=lambda i: (pv.elems[i],))
-    )
+    per_pid = (lambda i: work(pv.elems[i])) if callable(work) else work
+    return ParVec(ctx.map_pids(lambda i: pf.elems[i](pv.elems[i]), work=per_pid))
 
 
 def proj(pv: ParVec) -> tuple:
@@ -61,10 +61,7 @@ def proj(pv: ParVec) -> tuple:
     _check_width(ctx, pv, "vector")
     p = ctx.p
     sizes = [ctx.sizing(v) for v in pv.elems]
-    comm = CommMatrix.from_sends(p, ((s, d, sizes[s]) for s in range(p) for d in range(p) if s != d))
-    for d in range(p):
-        ctx.add_alloc(d, comm.received(d))
-    ctx.close_superstep(comm)
+    ctx.close_superstep((s, d, sizes[s]) for s in range(p) for d in range(p) if s != d)
     return tuple(pv.elems)
 
 
@@ -73,29 +70,26 @@ def put(plan: ParVec) -> ParVec:
 
     Each pid's plan entry maps destination pids to optional messages, given as
     a dict, a length-p sequence (None = no message), or a callable probed for
-    every destination.  Plans are materialized eagerly, the superstep ends,
-    and each pid receives a length-p tuple indexed by source pid.
+    every destination.  Plans are read once, in pid order: a dict costs its
+    own entries, a sequence or a callable all p destinations.  The superstep
+    ends, and each pid receives a length-p tuple indexed by source pid.
     """
     ctx = current_context()
     if ctx.sgl_only:
         raise UsageError("put is absent in SGL")
     _check_width(ctx, plan, "message plan")
-    p = ctx.p
-    sends = [_dense_plan(s, plan.elems[s], p) for s in range(p)]
-    comm = CommMatrix.from_sends(
-        p,
-        (
-            (s, d, ctx.sizing(msg))
-            for s in range(p)
-            for d, msg in enumerate(sends[s])
-            if msg is not None and s != d
-        ),
-    )
-    receptions = list(zip(*sends))
-    for d in range(p):
-        ctx.add_alloc(d, comm.received(d))
-    ctx.close_superstep(comm)
-    return ParVec(receptions)
+    p, sizing = ctx.p, ctx.sizing
+    inbox = [[None] * p for _ in range(p)]
+
+    def sends():
+        for s in range(p):
+            for d, msg in _plan_items(s, plan.elems[s], p):
+                inbox[d][s] = msg
+                if msg is not None and d != s:
+                    yield s, d, sizing(msg)
+
+    ctx.close_superstep(sends())
+    return ParVec(map(tuple, inbox))
 
 
 def _check_width(ctx: RunContext, pv: ParVec, what: str) -> None:
@@ -105,23 +99,19 @@ def _check_width(ctx: RunContext, pv: ParVec, what: str) -> None:
         raise DimensionError(f"{what} has width {len(pv)}, machine has p={ctx.p}")
 
 
-def _dense_plan(src: int, entry: Any, p: int) -> list:
-    """Normalize one pid's message plan to a dense length-p option list."""
-    row: list[Any] = [None] * p
+def _plan_items(src: int, entry: Any, p: int) -> Iterable[tuple[int, Any]]:
+    """One pid's message plan as (destination, message) pairs."""
     if entry is None:
-        return row
+        return ()
     if isinstance(entry, Mapping):
-        for d, msg in entry.items():
+        for d in entry:
             if isinstance(d, bool) or not isinstance(d, int) or not 0 <= d < p:
                 raise RoutingError(f"pid {src} sends to invalid destination {d!r} (p={p})")
-            row[d] = msg
-        return row
+        return entry.items()
     if callable(entry):
-        for d in range(p):
-            row[d] = entry(d)
-        return row
+        return ((d, entry(d)) for d in range(p))
     if isinstance(entry, Sequence):
         if len(entry) != p:
             raise DimensionError(f"pid {src}'s dense message plan has length {len(entry)}, expected p={p}")
-        return list(entry)
+        return enumerate(entry)
     raise UsageError(f"pid {src}'s message plan must be a mapping, sequence, or callable, got {type(entry).__name__}")

@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextvars import ContextVar
 from dataclasses import dataclass, is_dataclass, fields as dc_fields
 from datetime import datetime, timezone
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from . import __version__
 from .errors import CapacityError, ProgramError, UsageError
@@ -48,23 +48,23 @@ class RunContext:
     """Mutable state of one run: machine tree, open superstep, trace so far.
 
     ``sgl_only`` rejects put and proj; only ``sgl.run_nested`` sets it.
+    ``sgl_via_put`` runs scatter and gather as put plans; only
+    ``sgl.translate_to_bsml`` sets it.  Pids run on ``pool`` if one is given.
     """
 
     def __init__(
         self,
         machine: Machine,
-        backend: str = "simulate",
         sizing: Callable[[Any], int] | None = None,
         pool: ThreadPoolExecutor | None = None,
         sgl_only: bool = False,
     ):
         self.machine = as_tree(machine)
-        self.backend = backend
         self.p = total_p(machine)
         self.sizing = sizing if sizing is not None else default_sizing
         self.pool = pool
         self.sgl_only = sgl_only
-        self.sgl_impl = None  # installed lazily by the sgl module
+        self.sgl_via_put = False
         self.steps: list[SuperstepRecord] = []
         self.open_work = [0] * self.p
         self.open_alloc = [0] * self.p
@@ -72,14 +72,14 @@ class RunContext:
 
     # -- accounting -------------------------------------------------------
 
-    def add_work(self, pid: int, amount: int) -> None:
-        self.open_work[pid] += amount
+    def close_superstep(self, sends: Iterable[tuple[int, int, int]]) -> SuperstepRecord:
+        """End the open superstep with its (source, dest, words) sends; open a fresh one.
 
-    def add_alloc(self, pid: int, words: int) -> None:
-        self.open_alloc[pid] += words
-
-    def close_superstep(self, comm: CommMatrix) -> SuperstepRecord:
-        """End the open superstep: record it and open a fresh one."""
+        Each pid's allocation grows by the words it receives from other pids.
+        """
+        comm = CommMatrix.from_sends(self.p, sends)
+        for pid in range(self.p):
+            self.open_alloc[pid] += comm.received(pid)
         rec = SuperstepRecord.close(len(self.steps), tuple(self.open_work), comm, self.machine)
         self.steps.append(rec)
         self.peak_words = max(self.peak_words, max(self.open_alloc, default=0))
@@ -92,21 +92,19 @@ class RunContext:
 
     def finish(self) -> CostTrace:
         """Close the run; trailing local work is flushed by the final barrier."""
+        self.peak_words = max(self.peak_words, max(self.open_alloc, default=0))
         if any(self.open_work):
-            self.close_superstep(CommMatrix.zeros(self.p))
-        else:
-            self.peak_words = max(self.peak_words, max(self.open_alloc, default=0))
+            self.close_superstep(())
         return self.partial_trace()
 
     # -- per-pid evaluation -------------------------------------------------
 
-    def map_pids(self, call: Callable[[int], Any], work: Any = 1, work_args: Callable[[int], tuple] | None = None) -> list:
+    def map_pids(self, call: Callable[[int], Any], work: Any = 1) -> list:
         """Evaluate call(i) for every pid and accrue its declared work.
 
-        ``work`` is an integer cost per element evaluation, or a callable
-        applied to the same arguments as the element function.  Results are
-        assembled by pid regardless of completion order; the first failing
-        pid (lowest) aborts the run.
+        ``work`` is an integer cost per element evaluation, or a callable of
+        the pid.  Results are assembled by pid regardless of completion
+        order; the first failing pid (lowest) aborts the run.
         """
         results: list[Any] = [None] * self.p
         errors: dict[int, BaseException] = {}
@@ -117,7 +115,7 @@ class RunContext:
             except Exception as exc:  # user code may raise anything
                 errors[i] = exc
 
-        if self.backend == "parallel" and self.pool is not None and self.p > 1:
+        if self.pool is not None and self.p > 1:
             list(self.pool.map(at, range(self.p)))
         else:
             for i in range(self.p):
@@ -128,12 +126,8 @@ class RunContext:
             pid = min(errors)
             raise ProgramError(pid, len(self.steps), errors[pid], partial_trace=self.partial_trace())
         for i in range(self.p):
-            if callable(work):
-                args = work_args(i) if work_args is not None else (i,)
-                self.add_work(i, int(work(*args)))
-            else:
-                self.add_work(i, int(work))
-            self.add_alloc(i, self.sizing(results[i]))
+            self.open_work[i] += int(work(i) if callable(work) else work)
+            self.open_alloc[i] += self.sizing(results[i])
         return results
 
 
@@ -214,25 +208,58 @@ def make_environment(backend: str, workers: int, overrides: Mapping[str, str] | 
 
 
 def _canon(value: Any) -> str:
-    """Canonical text for hashing: stable across runs for equal values."""
-    if value is None or isinstance(value, (bool, int, str)):
-        return repr(value)
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, bytes):
-        return "b:" + value.hex()
+    """Canonical text for hashing: stable across runs for equal values.
+
+    Containers are walked with an explicit stack of (children, texts, join)
+    frames, so a value nested past the recursion limit still has a digest.
+    """
+    stack = [(iter((value,)), [], "".join)]
+    while True:
+        children, texts, join = stack[-1]
+        for child in children:
+            if child is None or isinstance(child, (bool, int, str, float)):
+                texts.append(repr(child))
+            elif type(child) in _SEQ_JOINS:  # the common container, framed without a call
+                stack.append((iter(child), [], _SEQ_JOINS[type(child)]))
+                break
+            elif isinstance(child, bytes):
+                texts.append("b:" + child.hex())
+            elif (frame := _canon_frame(child)) is not None:
+                stack.append(frame)
+                break
+            else:
+                texts.append(repr(child))
+        else:
+            stack.pop()
+            if not stack:
+                return join(texts)
+            stack[-1][1].append(join(texts))
+
+
+def _canon_frame(value: Any) -> tuple | None:
+    """(children, their texts, join) for a container; None for any other value."""
+    name = type(value).__name__
     if isinstance(value, dict):
-        items = sorted(value.items(), key=lambda kv: _canon(kv[0]))
-        return "{" + ",".join(f"{_canon(k)}:{_canon(v)}" for k, v in items) + "}"
+        return (x for item in value.items() for x in item), [], _join_dict
     if is_dataclass(value) and not isinstance(value, type):
-        inner = ",".join(f"{f.name}={_canon(getattr(value, f.name))}" for f in dc_fields(value))
-        return f"{type(value).__name__}({inner})"
+        names = [f.name for f in dc_fields(value)]
+        return (getattr(value, n) for n in names), [], lambda texts: f"{name}(" + ",".join(map("{}={}".format, names, texts)) + ")"
     if isinstance(value, (list, tuple, set, frozenset)):
-        elems = sorted(map(_canon, value)) if isinstance(value, (set, frozenset)) else [_canon(v) for v in value]
-        return f"{type(value).__name__}[" + ",".join(elems) + "]"
-    if hasattr(value, "elems"):  # ParVec
-        return f"{type(value).__name__}[" + ",".join(_canon(v) for v in value.elems) + "]"
-    return repr(value)
+        elems = value
+    elif hasattr(value, "elems"):  # ParVec
+        elems = value.elems
+    else:
+        return None
+    unordered = isinstance(value, (set, frozenset))
+    return iter(elems), [], lambda texts: f"{name}[" + ",".join(sorted(texts) if unordered else texts) + "]"
+
+
+_SEQ_JOINS = {seq: lambda texts, name=seq.__name__: f"{name}[" + ",".join(texts) + "]" for seq in (list, tuple)}
+
+
+def _join_dict(texts: list[str]) -> str:
+    items = sorted(zip(texts[0::2], texts[1::2]), key=lambda kv: kv[0])
+    return "{" + ",".join(f"{k}:{v}" for k, v in items) + "}"
 
 
 def stable_digest(value: Any) -> str:
@@ -297,7 +324,7 @@ def run(
             raise CapacityError(f"p={p} exceeds the worker cap of {worker_cap}")
         workers = min(p, os.cpu_count() or 1)
         pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="bspkit-pid")
-    ctx = RunContext(machine, backend=backend, sizing=sizing, pool=pool, sgl_only=_sgl_only)
+    ctx = RunContext(machine, sizing=sizing, pool=pool, sgl_only=_sgl_only)
     token = _activate(ctx)
     t0 = time.perf_counter()
     try:
@@ -314,7 +341,7 @@ def run(
         machine=machine,
         backend=backend,
         trace=trace,
-        environment=make_environment(backend, workers if backend == "parallel" else 1, env),
+        environment=make_environment(backend, workers, env),
         wall_time=wall if backend == "parallel" else None,
         peak_words=ctx.peak_words,
     )

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .algorithms import build_program
 from .engine import make_environment, run, stable_digest
@@ -242,6 +241,8 @@ def fit(grid: SweepGrid, basis: str | Sequence[str] = DEFAULT_BASIS, metric: str
     coef, _sq, rank, _sv = np.linalg.lstsq(a, y, rcond=None)
     deficient: tuple[str, ...] = ()
     if rank < len(terms):
+        import scipy.linalg  # imported at its one use: at module level it doubles the time to import bspkit.cli
+
         _q, _rm, piv = scipy.linalg.qr(a, pivoting=True)
         deficient = tuple(sorted(terms[j].name for j in piv[rank:]))
     return PerfModel(

@@ -7,7 +7,7 @@ blocks to the addressing root of each child (the first pid of the child's
 span), which then scatters internally.  Gather is the same walk with every
 send reversed.  Sibling subtrees are independent machines, so their phase
 costs overlap (max, not sum).  ``run_nested`` runs a program as SGL only,
-rejecting put and proj; ``translate_to_bsml`` swaps in put-based routing.
+rejecting put and proj; ``translate_to_bsml`` routes them through put.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from . import bsml
 from .engine import RunContext, current_context, run
 from .errors import DimensionError, RoutingError
 from .model import (
-    CommMatrix,
     CostTrace,
     Leaf,
     Machine,
@@ -47,7 +46,10 @@ def scatter(root: int, chunks: Sequence) -> ParVec:
     if len(chunks) != ctx.p:
         raise DimensionError(f"scatter needs exactly p={ctx.p} chunks, got {len(chunks)}")
     _check_root(ctx, root)
-    return _impl_for(ctx).scatter(ctx, root, chunks)
+    if ctx.sgl_via_put:
+        return _put_scatter(root, chunks)
+    ctx.close_superstep(_scatter_sends(ctx.machine, root, [ctx.sizing(c) for c in chunks]))
+    return ParVec(chunks)
 
 
 def gather(root: int, pv: ParVec) -> list:
@@ -56,12 +58,15 @@ def gather(root: int, pv: ParVec) -> list:
     if not isinstance(pv, ParVec) or len(pv) != ctx.p:
         raise DimensionError(f"gather needs a width-{ctx.p} ParVec")
     _check_root(ctx, root)
-    return _impl_for(ctx).gather(ctx, root, pv)
+    if ctx.sgl_via_put:
+        return _put_gather(root, pv)
+    sends = _scatter_sends(ctx.machine, root, [ctx.sizing(v) for v in pv.elems])
+    ctx.close_superstep((d, s, w) for s, d, w in sends)  # scatter's sends, reversed
+    return list(pv.elems)
 
 
 def lmap(f: Callable, pv: ParVec, *, work: Any = 1) -> ParVec:
     """Pointwise local map; no communication."""
-    ctx = current_context()
     fv = bsml.mkpar(lambda _i: f, work=0)
     return bsml.apply(fv, pv, work=work)
 
@@ -86,23 +91,17 @@ def translate_to_bsml(program: Callable[[], Any]) -> Callable[[], Any]:
 
     def bsml_program(*args, **kwargs):
         ctx = current_context()
-        previous = ctx.sgl_impl
-        ctx.sgl_impl = _BsmlSgl()
+        previous = ctx.sgl_via_put
+        ctx.sgl_via_put = True
         try:
             return program(*args, **kwargs)
         finally:
-            ctx.sgl_impl = previous
+            ctx.sgl_via_put = previous
 
     return bsml_program
 
 
-# --- implementation strategies -------------------------------------------------
-
-
-def _impl_for(ctx: RunContext):
-    if ctx.sgl_impl is None:
-        ctx.sgl_impl = _TreeSgl()
-    return ctx.sgl_impl
+# --- routing -------------------------------------------------------------------
 
 
 def _check_root(ctx: RunContext, root: int) -> None:
@@ -135,47 +134,28 @@ def _scatter_sends(tree: MachineTree, root: int, sizes: list[int]) -> list[tuple
     return sends
 
 
-class _TreeSgl:
-    """Hierarchical routing; gather moves the words of scatter's sends backwards."""
-
-    def scatter(self, ctx: RunContext, root: int, chunks: tuple) -> ParVec:
-        self._close(ctx, _scatter_sends(ctx.machine, root, [ctx.sizing(c) for c in chunks]))
-        return ParVec(chunks)
-
-    def gather(self, ctx: RunContext, root: int, pv: ParVec) -> list:
-        sends = _scatter_sends(ctx.machine, root, [ctx.sizing(v) for v in pv.elems])
-        self._close(ctx, [(d, s, w) for s, d, w in sends])
-        return list(pv.elems)
-
-    @staticmethod
-    def _close(ctx: RunContext, sends: list[tuple[int, int, int]]) -> None:
-        for _s, d, w in sends:
-            ctx.add_alloc(d, w)
-        ctx.close_superstep(CommMatrix.from_sends(ctx.p, sends))
+def _put_scatter(root: int, chunks: tuple) -> ParVec:
+    """Scatter as a put plan in which only the root row is non-empty."""
+    p = len(chunks)
+    plan = bsml.mkpar(
+        lambda i: {d: chunks[d] for d in range(p) if d != root} if i == root else {},
+        work=0,
+    )
+    received = bsml.put(plan)
+    extract = bsml.mkpar(
+        lambda i: (lambda msgs, i=i: chunks[i] if i == root else msgs[root]),
+        work=0,
+    )
+    return bsml.apply(extract, received, work=0)
 
 
-class _BsmlSgl:
-    """Scatter/gather realized as put plans from/to the root."""
-
-    def scatter(self, ctx: RunContext, root: int, chunks: tuple) -> ParVec:
-        p = ctx.p
-        plan = bsml.mkpar(
-            lambda i: {d: chunks[d] for d in range(p) if d != root} if i == root else {},
-            work=0,
-        )
-        received = bsml.put(plan)
-        extract = bsml.mkpar(
-            lambda i: (lambda msgs, i=i: chunks[i] if i == root else msgs[root]),
-            work=0,
-        )
-        return bsml.apply(extract, received, work=0)
-
-    def gather(self, ctx: RunContext, root: int, pv: ParVec) -> list:
-        p = ctx.p
-        plan = bsml.mkpar(
-            lambda i: {} if i == root else {root: pv.elems[i]},
-            work=0,
-        )
-        received = bsml.put(plan)
-        at_root = received.elems[root]
-        return [pv.elems[s] if s == root else at_root[s] for s in range(p)]
+def _put_gather(root: int, pv: ParVec) -> list:
+    """Gather as a put plan in which every pid sends only to the root."""
+    p = len(pv)
+    plan = bsml.mkpar(
+        lambda i: {} if i == root else {root: pv.elems[i]},
+        work=0,
+    )
+    received = bsml.put(plan)
+    at_root = received.elems[root]
+    return [pv.elems[s] if s == root else at_root[s] for s in range(p)]

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bspkit
 import bspkit.algorithms as alg
 from bspkit.cli import main
 from bspkit.model import trace_from_csv, trace_to_csv
@@ -199,3 +204,12 @@ class TestArgparseContract:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--algo", "broadcast", "--backend", "gpu"])
         assert exc.value.code == 2
+
+
+def test_importing_the_cli_leaves_scipy_linalg_unloaded():
+    """scipy.linalg is imported only by a rank-deficient fit."""
+    env = dict(os.environ, PYTHONPATH=str(Path(bspkit.__file__).resolve().parents[1]))
+    code = "import sys, bspkit.cli; print('scipy.linalg' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

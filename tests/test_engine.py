@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -11,7 +12,7 @@ from bspkit.algorithms import ALGORITHMS, build_program
 from bspkit.engine import DEFAULT_WORKER_CAP, make_environment, stable_digest
 from bspkit.errors import CapacityError, ProgramError, UsageError
 from bspkit.checks import two_by_two_tree
-from bspkit.model import Leaf, MachineConfig as MC, Node, step_cost, trace_from_csv, trace_to_csv
+from bspkit.model import Leaf, MachineConfig as MC, Node, ParVec, step_cost, trace_from_csv, trace_to_csv
 
 M4 = MachineConfig(p=4, g=1.0, l=10.0)
 
@@ -218,3 +219,21 @@ class TestStableDigest:
     def test_distinguishes_values(self):
         assert stable_digest([1, 2]) != stable_digest([2, 1])
         assert stable_digest(1.0) != stable_digest(1)
+
+    def test_canonical_text_of_every_kind_of_value(self):
+        value = {"b": [1, (2.5, None)], "a": {frozenset({3, 1}), b"\x01z"}, 7: ParVec([True, MC(2)])}
+        text = "{'a':set[b:017a,frozenset[1,3]],'b':list[1,tuple[2.5,None]],7:ParVec[True,MachineConfig(p=2,g=1.0,l=100.0,r=1.0)]}"
+        assert stable_digest(value) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    def test_result_nested_past_the_recursion_limit(self):
+        depth = 5000
+
+        def program():
+            value = []
+            for _ in range(depth):
+                value = [value]
+            return value
+
+        report = run(program, MachineConfig(2))
+        text = "list[" * (depth + 1) + "]" * (depth + 1)
+        assert report.result_digest == hashlib.sha256(text.encode("utf-8")).hexdigest()

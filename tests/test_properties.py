@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bspkit import Leaf, MachineConfig, Node, gather, lmap, mkpar, put, run, run_nested, scatter
-from bspkit.model import CommMatrix, h_relation, step_cost, total_p
+from bspkit.errors import RoutingError
+from bspkit.model import CommMatrix, default_sizing, h_relation, step_cost, total_p
 
 PARAMS = st.sampled_from((0.5, 1.0, 2.0))
 LATENCIES = st.sampled_from((0.0, 5.0, 10.0))
@@ -42,11 +44,39 @@ def sgl_programs(draw, p: int):
     return program
 
 
+messages = st.one_of(st.none(), st.lists(st.integers(0, 9), max_size=3).map(tuple))
+
+
+@st.composite
+def put_plans(draw, p: int):
+    """(plans, rows): per pid a dict, length-p sequence or callable plan, and the dense rows it sends.
+
+    rows[s][d] is the message from s to d or None; rows hold None messages,
+    self-sends and empty messages.  Dict plans list their keys in random
+    order and may spell out a None message.
+    """
+    rows = draw(st.lists(st.lists(messages, min_size=p, max_size=p), min_size=p, max_size=p))
+    plans = []
+    for row in rows:
+        form = draw(st.sampled_from(("dict", "sequence", "callable")))
+        if form == "dict":
+            spelled = draw(st.lists(st.booleans(), min_size=p, max_size=p))
+            plans.append({d: row[d] for d in draw(st.permutations(range(p))) if row[d] is not None or spelled[d]})
+        elif form == "sequence":
+            plans.append(draw(st.sampled_from((list, tuple)))(row))
+        else:
+            plans.append(lambda d, row=row: row[d])
+    return plans, rows
+
+
+def put_program(plans):
+    return lambda: put(mkpar(lambda s: plans[s], work=lambda s: s + 1))
+
+
 @st.composite
 def put_programs(draw, p: int):
-    """One put of random-size messages between random pid pairs."""
-    plans = draw(st.lists(st.dictionaries(st.integers(0, p - 1), st.lists(st.integers(0, 9), max_size=3).map(tuple), max_size=p), min_size=p, max_size=p))
-    return lambda: put(mkpar(lambda s: plans[s], work=lambda s: s + 1))
+    """One put of random-size messages between random pid pairs, in random plan formats."""
+    return put_program(draw(put_plans(p))[0])
 
 
 def step_tuples(trace):
@@ -107,6 +137,33 @@ def test_stored_tree_costs_follow_the_recursive_rule(tree, data):
     for step in sgl_trace.steps + put_trace.steps:
         assert step.cost == step_cost(step.work, step.comm, tree) == reference_cost(step.work, step.comm, tree)
         assert step.recost(tree) == step.cost
+
+
+@given(flat_machines, st.data())
+@settings(max_examples=80, deadline=None)
+def test_put_matches_a_dense_reference(cfg, data):
+    p = cfg.p
+    plans, rows = data.draw(put_plans(p))
+    report = run(put_program(plans), cfg)
+    words = [[default_sizing(rows[s][d]) if s != d else 0 for d in range(p)] for s in range(p)]
+    received = [sum(words[s][d] for s in range(p)) for d in range(p)]
+    (step,) = report.trace.steps
+    assert report.result.elems == tuple(tuple(rows[s][d] for s in range(p)) for d in range(p))
+    assert step.comm.words == tuple(map(tuple, words))
+    assert step.work == tuple(s + 1 for s in range(p))
+    assert report.peak_words == max(default_sizing(plans[d]) + received[d] for d in range(p))
+
+
+@given(flat_machines, st.data())
+@settings(max_examples=40, deadline=None)
+def test_put_rejects_an_invalid_destination(cfg, data):
+    p = cfg.p
+    plans, _rows = data.draw(put_plans(p))
+    src = data.draw(st.integers(0, p - 1))
+    bad = data.draw(st.sampled_from((-1, p, True, 1.0, "0")))
+    plans[src] = {0: (1,), bad: (2,)}
+    with pytest.raises(RoutingError, match=rf"pid {src} sends to invalid destination"):
+        run(put_program(plans), cfg)
 
 
 @st.composite
