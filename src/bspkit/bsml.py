@@ -17,7 +17,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .engine import RunContext, current_context
 from .errors import DimensionError, RoutingError, UsageError
-from .model import ParVec
+from .model import ParVec, default_sizing
 
 
 def nprocs() -> int:
@@ -29,11 +29,12 @@ def mkpar(f: Callable[[int], Any], *, work: Any = 1) -> ParVec:
     """Build a parallel vector with f(pid) at each slot.
 
     f is invoked exactly once per pid, pid order ascending on the simulator.
+    It runs with no active run, so it may not call a primitive.
     ``work`` declares the local cost of one element evaluation (an int, or a
     callable of the pid).
     """
     ctx = current_context()
-    return ParVec(ctx.map_pids(lambda i: f(i), work=work))
+    return ParVec(ctx.map_pids(f, work=work))
 
 
 def apply(pf: ParVec, pv: ParVec, *, work: Any = 1) -> ParVec:
@@ -60,7 +61,7 @@ def proj(pv: ParVec) -> tuple:
         raise UsageError("proj is not an SGL operation; use gather")
     _check_width(ctx, pv, "vector")
     p = ctx.p
-    sizes = [ctx.sizing(v) for v in pv.elems]
+    sizes = [default_sizing(v) for v in pv.elems]
     ctx.close_superstep((s, d, sizes[s]) for s in range(p) for d in range(p) if s != d)
     return tuple(pv.elems)
 
@@ -78,7 +79,7 @@ def put(plan: ParVec) -> ParVec:
     if ctx.sgl_only:
         raise UsageError("put is absent in SGL")
     _check_width(ctx, plan, "message plan")
-    p, sizing = ctx.p, ctx.sizing
+    p = ctx.p
     inbox = [[None] * p for _ in range(p)]
 
     def sends():
@@ -86,7 +87,7 @@ def put(plan: ParVec) -> ParVec:
             for d, msg in _plan_items(s, plan.elems[s], p):
                 inbox[d][s] = msg
                 if msg is not None and d != s:
-                    yield s, d, sizing(msg)
+                    yield s, d, default_sizing(msg)
 
     ctx.close_superstep(sends())
     return ParVec(map(tuple, inbox))

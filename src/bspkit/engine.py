@@ -3,10 +3,11 @@
 A program is a zero-argument callable that uses the bsml/sgl primitives while
 a run context is active.  The ``simulate`` backend evaluates every per-pid
 function in ascending pid order on the calling thread and produces an exact,
-deterministic cost trace.  The ``parallel`` backend evaluates the asynchronous
-phases of each superstep on a thread pool and joins them at the superstep
-boundary, so messages become visible only after the barrier; its traces carry
-identical counts, plus a wall-clock measurement.
+deterministic cost trace.  The ``parallel`` backend dispatches one pool task
+per pid for each ``mkpar`` or ``apply`` and joins them before the primitive
+returns, so messages become visible only after the barrier; its traces carry
+identical counts, plus a wall-clock measurement.  On both backends an element
+function runs with no active run, so it cannot call a primitive.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import os
 import platform
+import reprlib
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import ContextVar
@@ -52,18 +54,11 @@ class RunContext:
     ``sgl.translate_to_bsml`` sets it.  Pids run on ``pool`` if one is given.
     """
 
-    def __init__(
-        self,
-        machine: Machine,
-        sizing: Callable[[Any], int] | None = None,
-        pool: ThreadPoolExecutor | None = None,
-        sgl_only: bool = False,
-    ):
+    def __init__(self, machine: Machine, pool: ThreadPoolExecutor | None = None):
         self.machine = as_tree(machine)
         self.p = total_p(machine)
-        self.sizing = sizing if sizing is not None else default_sizing
         self.pool = pool
-        self.sgl_only = sgl_only
+        self.sgl_only = False
         self.sgl_via_put = False
         self.steps: list[SuperstepRecord] = []
         self.open_work = [0] * self.p
@@ -103,47 +98,39 @@ class RunContext:
         """Evaluate call(i) for every pid and accrue its declared work.
 
         ``work`` is an integer cost per element evaluation, or a callable of
-        the pid.  Results are assembled by pid regardless of completion
-        order; the first failing pid (lowest) aborts the run.
+        the pid.  The calls run with no active run, so a primitive inside one
+        raises UsageError: the run is unset on the calling thread, and pool
+        threads never hold it.  Every pid is evaluated; results are assembled
+        by pid regardless of completion order, and the lowest failing pid
+        aborts the run.
         """
-        results: list[Any] = [None] * self.p
         errors: dict[int, BaseException] = {}
 
-        def at(i: int) -> None:
+        def at(i: int) -> Any:
             try:
-                results[i] = call(i)
+                return call(i)
             except Exception as exc:  # user code may raise anything
                 errors[i] = exc
 
-        if self.pool is not None and self.p > 1:
-            list(self.pool.map(at, range(self.p)))
-        else:
-            for i in range(self.p):
-                at(i)
-                if i in errors:
-                    break
+        token = _CURRENT.set(None)
+        try:
+            results = list((self.pool.map if self.pool is not None else map)(at, range(self.p)))
+        finally:
+            _CURRENT.reset(token)
         if errors:
             pid = min(errors)
             raise ProgramError(pid, len(self.steps), errors[pid], partial_trace=self.partial_trace())
         for i in range(self.p):
             self.open_work[i] += int(work(i) if callable(work) else work)
-            self.open_alloc[i] += self.sizing(results[i])
+            self.open_alloc[i] += default_sizing(results[i])
         return results
 
 
 def current_context() -> RunContext:
     ctx = _CURRENT.get()
     if ctx is None:
-        raise UsageError("no active run: call this primitive from inside a program passed to engine.run()")
+        raise UsageError("no active run: call primitives from the program passed to engine.run(), not from an element function")
     return ctx
-
-
-def _activate(ctx: RunContext):
-    return _CURRENT.set(ctx)
-
-
-def _deactivate(token) -> None:
-    _CURRENT.reset(token)
 
 
 # --- environment record ------------------------------------------------------
@@ -283,7 +270,10 @@ class RunReport:
     peak_words: int = 0
 
     def to_dict(self) -> dict:
-        preview = repr(self.result)
+        try:
+            preview = repr(self.result)
+        except RecursionError:  # nested past the recursion limit
+            preview = reprlib.repr(self.result)
         if len(preview) > 200:
             preview = preview[:197] + "..."
         return {
@@ -303,10 +293,8 @@ def run(
     machine: Machine,
     backend: str = "simulate",
     *,
-    sizing: Callable[[Any], int] | None = None,
     worker_cap: int = DEFAULT_WORKER_CAP,
     env: Mapping[str, str] | None = None,
-    _sgl_only: bool = False,
 ) -> RunReport:
     """Execute a closed program on the given machine and backend.
 
@@ -324,14 +312,14 @@ def run(
             raise CapacityError(f"p={p} exceeds the worker cap of {worker_cap}")
         workers = min(p, os.cpu_count() or 1)
         pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="bspkit-pid")
-    ctx = RunContext(machine, sizing=sizing, pool=pool, sgl_only=_sgl_only)
-    token = _activate(ctx)
+    ctx = RunContext(machine, pool=pool)
+    token = _CURRENT.set(ctx)
     t0 = time.perf_counter()
     try:
         result = program()
         wall = time.perf_counter() - t0
     finally:
-        _deactivate(token)
+        _CURRENT.reset(token)
         if pool is not None:
             pool.shutdown(wait=True)
     trace = ctx.finish()

@@ -5,14 +5,13 @@ with per-pid local work ``w``, communication matrix ``C`` and machine
 ``(p, g, l, r)`` costs ``max(w)/r + g*h(C) + l``, where ``h`` is the
 h-relation of ``C``.  A flat machine is a one-leaf tree, and one recursive
 rule (``step_cost``) prices a superstep on any tree.  Nothing here performs
-I/O with the outside world except the JSON/CSV serializers at the bottom.
+I/O with the outside world except the dict/CSV serializers at the bottom.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 from array import array
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence, Union
@@ -441,9 +440,8 @@ def trace_totals(steps: Iterable[SuperstepRecord]) -> CostTrace:
 TRACE_CSV_HEADER = ["index", "max_work", "h", "words_total", "cost"]
 
 
-def trace_to_dict(trace: CostTrace, machine: Machine | None = None) -> dict:
-    obj: dict[str, Any] = {
-        "machine": machine_to_dict(machine) if machine is not None else None,
+def trace_to_dict(trace: CostTrace) -> dict:
+    return {
         "steps": [
             {
                 "index": s.index,
@@ -460,11 +458,6 @@ def trace_to_dict(trace: CostTrace, machine: Machine | None = None) -> dict:
             "sync_count": trace.sync_count,
         },
     }
-    return obj
-
-
-def trace_to_json(trace: CostTrace, machine: Machine | None = None) -> str:
-    return json.dumps(trace_to_dict(trace, machine), indent=2, sort_keys=True) + "\n"
 
 
 def trace_to_csv(trace: CostTrace) -> str:

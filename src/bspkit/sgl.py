@@ -24,6 +24,7 @@ from .model import (
     MachineTree,
     Node,
     ParVec,
+    default_sizing,
     total_p,
 )
 
@@ -48,7 +49,7 @@ def scatter(root: int, chunks: Sequence) -> ParVec:
     _check_root(ctx, root)
     if ctx.sgl_via_put:
         return _put_scatter(root, chunks)
-    ctx.close_superstep(_scatter_sends(ctx.machine, root, [ctx.sizing(c) for c in chunks]))
+    ctx.close_superstep(_scatter_sends(ctx.machine, root, [default_sizing(c) for c in chunks]))
     return ParVec(chunks)
 
 
@@ -60,7 +61,7 @@ def gather(root: int, pv: ParVec) -> list:
     _check_root(ctx, root)
     if ctx.sgl_via_put:
         return _put_gather(root, pv)
-    sends = _scatter_sends(ctx.machine, root, [ctx.sizing(v) for v in pv.elems])
+    sends = _scatter_sends(ctx.machine, root, [default_sizing(v) for v in pv.elems])
     ctx.close_superstep((d, s, w) for s, d, w in sends)  # scatter's sends, reversed
     return list(pv.elems)
 
@@ -77,7 +78,12 @@ def run_nested(tree: Machine, program: Callable[[], Any], backend: str = "simula
     A flat MachineConfig is accepted as a one-leaf tree.  Programs that invoke
     put or proj are rejected: this is the SGL-only entry point.
     """
-    report = run(program, tree, backend=backend, _sgl_only=True, **kwargs)
+
+    def sgl_program():
+        current_context().sgl_only = True
+        return program()
+
+    report = run(sgl_program, tree, backend=backend, **kwargs)
     return report.result, report.trace
 
 

@@ -251,9 +251,10 @@ class TestTransposeLaw:
 class TestPurity:
     def test_two_runs_bit_identical(self):
         def program():
+            p = nprocs()
             pv = mkpar(lambda i: i * 3)
             pv = apply(mkpar(lambda i: (lambda v: v * v)), pv)
-            put(mkpar(lambda s: {d: (s, d) for d in range(nprocs()) if d != s}))
+            put(mkpar(lambda s: {d: (s, d) for d in range(p) if d != s}))
             return proj(pv)
 
         a = simulate(program)

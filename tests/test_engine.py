@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from bspkit import MachineConfig, apply, estimate_runtime, mkpar, nprocs, proj, put, run
+from bspkit import MachineConfig, apply, estimate_runtime, mkpar, nprocs, proj, put, run, scatter
 from bspkit.algorithms import ALGORITHMS, build_program
 from bspkit.engine import DEFAULT_WORKER_CAP, make_environment, stable_digest
 from bspkit.errors import CapacityError, ProgramError, UsageError
@@ -108,13 +108,24 @@ class TestAbort:
         assert exc.value.pid == 1
 
     def test_primitives_unusable_from_element_functions(self):
-        # worker threads have no run context; misuse is a clean UsageError
-        def program():
-            return mkpar(lambda i: nprocs())
+        # element functions see no active run on either backend: nesting is a clean UsageError
+        nested = {
+            "nprocs": lambda i: nprocs(),
+            "mkpar": lambda i: mkpar(lambda j: j),
+            "put": lambda i: put(ParVec([{}] * 4)),
+            "scatter": lambda i: scatter(0, [(1,)] * 4),
+        }
+        for backend in ("simulate", "parallel"):
+            for name, f in nested.items():
 
-        with pytest.raises(ProgramError) as exc:
-            run(program, M4, backend="parallel")
-        assert isinstance(exc.value.cause, UsageError)
+                def program(f=f):
+                    put(mkpar(lambda s: {}, work=0))
+                    return mkpar(lambda i: f(i) if i >= 2 else i)
+
+                with pytest.raises(ProgramError) as exc:
+                    run(program, M4, backend=backend)
+                assert (exc.value.pid, exc.value.superstep) == (2, 1), (backend, name)
+                assert isinstance(exc.value.cause, UsageError), (backend, name)
 
 
 class TestDeterminism:
@@ -237,3 +248,4 @@ class TestStableDigest:
         report = run(program, MachineConfig(2))
         text = "list[" * (depth + 1) + "]" * (depth + 1)
         assert report.result_digest == hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert len(report.to_dict()["result_preview"]) <= 200

@@ -7,9 +7,10 @@ machines; the broadcast, reduce and scan programs through
 ``translate_to_bsml`` on the same machines; one put program mixing the three
 plan formats on those machines and on the 2x2 tree; and every put-free
 basic-library program on the 2x2 tree.  A change that keeps the program's
-behaviour keeps every entry.  The file is written from an archive of the
-commit before the change under test (only when a behaviour change is
-intended is it written from the change itself)::
+behaviour keeps every entry, on the simulator and on the thread backend.
+The file is written from an archive of the commit before the change under
+test (only when a behaviour change is intended is it written from the change
+itself)::
 
     mkdir -p "$PARENT" && git archive HEAD src | tar -x -C "$PARENT"
     PYTHONPATH="$PARENT/src" python tests/test_golden_traces.py > tests/data/golden_traces.json
@@ -61,31 +62,36 @@ def record(report) -> dict:
     return {"digest": report.result_digest, "peak_words": report.peak_words, "steps": steps_sha256(report.trace)}
 
 
-def golden_records() -> dict[str, dict]:
+def golden_records(backend: str = "simulate") -> dict[str, dict]:
+    def run_on(program, machine):
+        return record(run(program, machine, backend=backend))
+
     records = {}
     for name in sorted(ALGORITHMS):
         for p in FLAT_P:
-            records[f"algorithm/{name}/p={p}"] = record(run(build_program(name, N, SEED), MachineConfig(p)))
+            records[f"algorithm/{name}/p={p}"] = run_on(build_program(name, N, SEED), MachineConfig(p))
     for name in TRANSLATED:
         for p in FLAT_P:
-            records[f"translated/{name}/p={p}"] = record(run(translate_to_bsml(build_program(name, N, SEED)), MachineConfig(p)))
+            records[f"translated/{name}/p={p}"] = run_on(translate_to_bsml(build_program(name, N, SEED)), MachineConfig(p))
     for p in FLAT_P:
-        records[f"put/plan-formats/p={p}"] = record(run(plan_formats_program, MachineConfig(p)))
-    records["put/plan-formats/two_by_two_tree"] = record(run(plan_formats_program, two_by_two_tree()))
+        records[f"put/plan-formats/p={p}"] = run_on(plan_formats_program, MachineConfig(p))
+    records["put/plan-formats/two_by_two_tree"] = run_on(plan_formats_program, two_by_two_tree())
     for op in BASIC_API:
         if op.run is None:
             continue
         args = op.gen(random.Random(SEED), N)
-        records[f"basic/{op.name}/two_by_two_tree"] = record(run(lambda op=op, args=args: op.run(*args), two_by_two_tree()))
+        records[f"basic/{op.name}/two_by_two_tree"] = run_on(lambda op=op, args=args: op.run(*args), two_by_two_tree())
     return records
 
 
 def test_traces_match_the_golden_file():
+    # counts do not depend on the backend, so the thread backend must match the simulator's records
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    current = golden_records()
-    assert sorted(current) == sorted(golden)
-    differing = sorted(key for key in golden if current[key] != golden[key])
-    assert not differing, f"digest or per-step counts changed: {differing}"
+    for backend in ("simulate", "parallel"):
+        current = golden_records(backend)
+        assert sorted(current) == sorted(golden)
+        differing = sorted(key for key in golden if current[key] != golden[key])
+        assert not differing, f"digest or per-step counts changed on {backend}: {differing}"
 
 
 if __name__ == "__main__":

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bspkit import Leaf, MachineConfig, Node, gather, lmap, mkpar, put, run, run_nested, scatter
-from bspkit.errors import RoutingError
+from bspkit import Leaf, MachineConfig, Node, apply, gather, lmap, mkpar, nprocs, proj, put, run, run_nested, scatter
+from bspkit.errors import ProgramError, RoutingError
 from bspkit.model import CommMatrix, default_sizing, h_relation, step_cost, total_p
 
 PARAMS = st.sampled_from((0.5, 1.0, 2.0))
@@ -83,6 +83,87 @@ def step_tuples(trace):
     return [(s.index, s.h, s.words, s.max_work, s.cost, s.work, s.comm) for s in trace.steps]
 
 
+def fail(i):
+    raise ValueError(f"pid {i}")
+
+
+#: What a faulty element function does at its pids: raise, or call a primitive from inside.
+FAULT_ACTIONS = {
+    "raise": fail,
+    "nprocs": lambda i: nprocs(),
+    "mkpar": lambda i: mkpar(lambda j: j),
+    "put": lambda i: put(mkpar(lambda j: {j: (j,)})),
+}
+faults = st.one_of(st.none(), st.tuples(st.sampled_from(sorted(FAULT_ACTIONS)), st.frozensets(st.integers(0, 7), min_size=1, max_size=3)))
+
+
+def faulty(fault, body):
+    """body(i, *args), preceded at the fault's pids by the fault's action."""
+    if fault is None:
+        return body
+    action, pids = FAULT_ACTIONS[fault[0]], fault[1]
+
+    def element(i, *args):
+        if i in pids:
+            action(i)
+        return body(i, *args)
+
+    return element
+
+
+@st.composite
+def mixed_programs(draw, p: int):
+    """A random sequence of mkpar/apply/put/proj/scatter/gather steps whose element functions may fault."""
+    pids = st.integers(0, p - 1)
+    ops = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("mkpar"), faults, st.integers(0, 3)),
+                st.tuples(st.just("apply"), faults, st.integers(0, 3)),
+                st.tuples(st.just("put"), faults, st.lists(pids, max_size=3)),
+                st.tuples(st.just("proj")),
+                st.tuples(st.just("scatter"), pids, faults),
+                st.tuples(st.just("gather"), pids),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+
+    def program():
+        pv, seq = mkpar(lambda i: i), list(range(p))
+        for op in ops:
+            if op[0] == "mkpar":
+                pv = mkpar(faulty(op[1], lambda i: (i * 5 + op[2]) % 7), work=op[2])
+            elif op[0] == "apply":
+                f = faulty(op[1], lambda i, v: (3 * v + i) % 11)
+                pv = apply(mkpar(lambda i: lambda v, i=i: f(i, v)), pv, work=op[2])
+            elif op[0] == "put":
+                plan = faulty(op[1], lambda s, offsets=op[2]: {(s + k) % p: (pv.elems[s],) * (k % 3) for k in offsets})
+                received = put(mkpar(plan, work=0))
+                pv = apply(mkpar(lambda i: lambda msgs: sum(len(m) + sum(m) for m in msgs if m is not None) % 13), received)
+            elif op[0] == "proj":
+                seq = list(proj(pv))
+            elif op[0] == "scatter":
+                blocks = scatter(op[1], [(x,) * (x % 3) for x in seq])
+                f = faulty(op[2], lambda i, blk: sum(blk) + i)
+                pv = apply(mkpar(lambda i: lambda blk, i=i: f(i, blk)), blocks)
+            else:
+                seq = gather(op[1], pv)
+        return pv, seq
+
+    return program
+
+
+def outcome(program, machine, backend: str):
+    """What a run shows: its data, or where and why it failed."""
+    try:
+        report = run(program, machine, backend=backend)
+    except ProgramError as exc:
+        return "failed", exc.pid, exc.superstep, type(exc.cause)
+    return "ran", report.result_digest, report.peak_words, step_tuples(report.trace)
+
+
 def reference_cost(work, comm, tree) -> float:
     """The recursive rule with every h counted cell by cell over explicit pid blocks."""
     words = comm.words
@@ -126,6 +207,13 @@ def test_flat_run_equals_one_leaf_run_nested(cfg, data):
     assert report.machine is cfg
     assert result == report.result
     assert step_tuples(trace) == step_tuples(report.trace)
+
+
+@given(flat_machines, st.data())
+@settings(max_examples=80, deadline=None)
+def test_backends_agree_on_data_and_errors(cfg, data):
+    program = data.draw(mixed_programs(cfg.p))
+    assert outcome(program, cfg, "parallel") == outcome(program, cfg, "simulate")
 
 
 @given(trees(3), st.data())

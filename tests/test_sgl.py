@@ -143,6 +143,8 @@ class TestRunNested:
     def test_put_rejected(self):
         with pytest.raises(UsageError, match="put is absent in SGL"):
             run_nested(two_by_two_tree(), lambda: put(mkpar(lambda i: {}, work=0)))
+        with pytest.raises(UsageError, match="put is absent in SGL"):
+            run_nested(two_by_two_tree(), translate_to_bsml(lambda: scatter(0, [(1,)] * 4)))
 
     def test_put_rejected_on_flat_sgl_runs_too(self):
         with pytest.raises(UsageError, match="put is absent in SGL"):

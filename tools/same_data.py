@@ -1,0 +1,217 @@
+"""Same-data comparer: run one fixed matrix of programs on two checkouts and print every record that differs.
+
+    python tools/same_data.py --parent PARENT/src --change src
+
+Each DIR is a checkout's ``src``; each side runs in its own subprocess with
+only that directory on PYTHONPATH.  The matrix is every ``ALGORITHMS`` entry
+at n in {0, 5, 40}; the broadcast, reduce and scan programs through
+``translate_to_bsml``; random SGL programs through ``run``, ``run_nested``
+and ``translate_to_bsml``; put programs in each plan format; and programs
+whose element functions call a primitive or raise.  Every program runs on
+flat p in {1, 2, 3, 4, 7, 16}, on the 2x2 tree and on a 3-level tree, on
+both backends.
+
+A record is, for a run that succeeds, its result digest, peak words per pid
+and a sha256 of the per-step ``(index, h, words, max_work, cost, work,
+comm.words)`` tuples; for a run that fails, the error's type, pid, superstep
+and cause type.  Exit status: 0 when every record matches, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+SEED = 1
+SIZES = (0, 5, 40)
+TRANSLATED = ("broadcast", "reduce", "scan")
+SGL_PROGRAMS = 20
+FLAT_P = (1, 2, 3, 4, 7, 16)
+BACKENDS = ("simulate", "parallel")
+
+
+def matrix():
+    """(name, runner) pairs; runner(machine, backend) returns a successful run's record."""
+    from bspkit import (
+        gather,
+        lmap,
+        mkpar,
+        nprocs,
+        proj,
+        put,
+        run,
+        run_nested,
+        scatter,
+        translate_to_bsml,
+    )
+    from bspkit.algorithms import ALGORITHMS, build_program
+    from bspkit.engine import stable_digest
+
+    def steps_sha256(trace) -> str:
+        rows = [(s.index, s.h, s.words, s.max_work, s.cost, s.work, s.comm.words) for s in trace.steps]
+        return hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()
+
+    def via_run(make):
+        def runner(machine, backend):
+            report = run(make(), machine, backend=backend)
+            return {"digest": report.result_digest, "peak_words": report.peak_words, "steps": steps_sha256(report.trace)}
+
+        return runner
+
+    def via_run_nested(make):
+        def runner(machine, backend):
+            result, trace = run_nested(machine, make(), backend=backend)
+            return {"digest": stable_digest(result), "steps": steps_sha256(trace)}
+
+        return runner
+
+    def sgl_program(rng: random.Random):
+        blocks = [tuple(rng.randint(-9, 9) for _ in range(rng.randint(0, 3))) for _ in range(16)]
+        rounds = [(rng.randrange(16), rng.randrange(16), rng.randint(0, 3)) for _ in range(rng.randint(1, 3))]
+
+        def program():
+            p = nprocs()
+            current = blocks[:p]
+            for src, dst, work in rounds:
+                pv = lmap(lambda blk: tuple(2 * v + 1 for v in blk), scatter(src % p, current), work=work)
+                current = gather(dst % p, pv)
+            return current
+
+        return program
+
+    def put_program(form: str):
+        def program():
+            p = nprocs()
+
+            def plan(s):
+                row = [None if (s + d) % 3 == 1 else tuple(range((s * d) % 4)) for d in range(p)]
+                kind = form if form != "mixed" else ("sequence", "callable", "dict")[s % 3]
+                if kind == "sequence":
+                    return row
+                if kind == "callable":
+                    return lambda d: row[d]
+                return {d: row[d] for d in reversed(range(p)) if row[d] is not None or d == s}
+
+            return put(mkpar(plan, work=lambda s: s + 1))
+
+        return program
+
+    def fail(i):
+        raise ValueError(f"pid {i}")
+
+    nested = {
+        "nprocs": lambda i: nprocs(),
+        "mkpar": lambda i: mkpar(lambda j: j),
+        "put": lambda i: put(mkpar(lambda j: {j: (j,)})),
+        "scatter": lambda i: scatter(0, [(i,)] * nprocs()),
+        "proj": lambda i: proj(mkpar(lambda j: j)),
+        "raise": fail,
+    }
+
+    def nested_program(action):
+        def program():
+            put(mkpar(lambda s: {}, work=0))
+            return proj(mkpar(lambda i: (action(i), i) if i % 2 else i))
+
+        return program
+
+    entries = []
+    for name in sorted(ALGORITHMS):
+        for n in SIZES:
+            entries.append((f"algorithm/{name}/n={n}", via_run(lambda name=name, n=n: build_program(name, n, SEED))))
+    for name in TRANSLATED:
+        for n in SIZES:
+            entries.append((f"translated/{name}/n={n}", via_run(lambda name=name, n=n: translate_to_bsml(build_program(name, n, SEED)))))
+    rng = random.Random(SEED)
+    for k in range(SGL_PROGRAMS):
+        program = sgl_program(rng)
+        entries.append((f"sgl/{k}/run", via_run(lambda program=program: program)))
+        entries.append((f"sgl/{k}/run_nested", via_run_nested(lambda program=program: program)))
+        entries.append((f"sgl/{k}/translated", via_run(lambda program=program: translate_to_bsml(program))))
+    for form in ("sequence", "callable", "dict", "mixed"):
+        entries.append((f"put/{form}", via_run(lambda form=form: put_program(form))))
+    for name, action in nested.items():
+        entries.append((f"nested/{name}", via_run(lambda action=action: nested_program(action))))
+    return entries
+
+
+def machines():
+    from bspkit import Leaf, MachineConfig, Node
+    from bspkit.checks import two_by_two_tree
+
+    three_level = Node(
+        children=(Node(children=(Leaf(MachineConfig(p=2)), Leaf(MachineConfig(p=1))), g=1.5, l=5.0), Leaf(MachineConfig(p=3))),
+        g=2.0,
+        l=20.0,
+    )
+    named = [(f"p={p}", MachineConfig(p=p, g=1.0, l=10.0)) for p in FLAT_P]
+    return named + [("two_by_two_tree", two_by_two_tree()), ("three_level_tree", three_level)]
+
+
+def record(runner, machine, backend: str) -> dict:
+    """The run's record, or, for a rejected program, where and why it failed."""
+    from bspkit.errors import ProgramError
+
+    try:
+        return runner(machine, backend)
+    except Exception as exc:  # a rejected program is a record too
+        cause = exc.cause if isinstance(exc, ProgramError) else None
+        return {
+            "error": type(exc).__name__,
+            "pid": getattr(exc, "pid", None),
+            "superstep": getattr(exc, "superstep", None),
+            "cause": type(cause).__name__ if cause is not None else None,
+        }
+
+
+def emit() -> None:
+    """Print one JSON line per run of the matrix, preceded by the bspkit path."""
+    import bspkit
+
+    print(json.dumps({"bspkit": bspkit.__file__}))
+    for name, runner in matrix():
+        for machine_name, machine in machines():
+            for backend in BACKENDS:
+                key = f"{name} @ {machine_name} / {backend}"
+                print(json.dumps({"key": key, "record": record(runner, machine, backend)}, sort_keys=True))
+
+
+def collect(src: str) -> dict[str, dict]:
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+    out = subprocess.run([sys.executable, __file__, "--emit"], env=env, capture_output=True, text=True, check=True).stdout
+    first, *lines = out.splitlines()
+    where = Path(json.loads(first)["bspkit"]).resolve()
+    if Path(src).resolve() not in where.parents:
+        raise SystemExit(f"{src}: imported bspkit from {where}")
+    return {row["key"]: row["record"] for row in map(json.loads, lines)}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", help="the parent checkout's src directory")
+    parser.add_argument("--change", help="the changed checkout's src directory")
+    parser.add_argument("--emit", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.emit:
+        emit()
+        return 0
+    if not (args.parent and args.change):
+        parser.error("--parent and --change are required")
+    parent, change = collect(args.parent), collect(args.change)
+    differing = 0
+    for key in sorted(parent.keys() | change.keys()):
+        if parent.get(key) != change.get(key):
+            differing += 1
+            print(f"{key}\n  parent: {parent.get(key)}\n  change: {change.get(key)}")
+    print(f"{len(parent.keys() | change.keys())} runs, {differing} differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
