@@ -23,6 +23,7 @@ from .errors import (
 from .model import (
     CommMatrix,
     CostTrace,
+    Inbox,
     Leaf,
     MachineConfig,
     Node,
@@ -47,6 +48,7 @@ __all__ = [
     "ValidationError",
     "CommMatrix",
     "CostTrace",
+    "Inbox",
     "Leaf",
     "MachineConfig",
     "Node",

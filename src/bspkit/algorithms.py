@@ -404,7 +404,7 @@ def hash_lookup(table: DistHash, queries: DistArray) -> DistArray:
     answer_fns = _papply(
         lambda i, local: (
             lambda rows, local=local: {
-                s: tuple((j, local.get(k, ABSENT)) for j, k in rows[s]) for s in range(p) if rows[s]
+                s: tuple((j, local.get(k, ABSENT)) for j, k in r) for s, r in enumerate(rows) if r
             }
         ),
         table.table,

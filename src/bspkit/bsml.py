@@ -3,7 +3,8 @@
 ``nprocs`` reads the machine width, ``mkpar`` constructs a width-p vector by
 binding pid, ``apply`` transforms one pointwise, and ``put`` exchanges
 messages through a p x p send/receive relation, ending the superstep; it
-reads plans sparsely, but its receptions are still p tuples of length p.
+reads plans and delivers receptions sparsely, so it costs O(nnz + p) host
+time for nnz messages.
 ``proj`` folds a parallel vector back into ordinary sequential data and is
 accounted as an all-to-all replication so that its cost is honest.
 
@@ -17,7 +18,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .engine import RunContext, current_context
 from .errors import DimensionError, RoutingError, UsageError
-from .model import ParVec, default_sizing
+from .model import Inbox, ParVec, default_sizing
 
 
 def nprocs() -> int:
@@ -73,24 +74,27 @@ def put(plan: ParVec) -> ParVec:
     a dict, a length-p sequence (None = no message), or a callable probed for
     every destination.  Plans are read once, in pid order: a dict costs its
     own entries, a sequence or a callable all p destinations.  The superstep
-    ends, and each pid receives a length-p tuple indexed by source pid.
+    ends, and each pid receives an ``Inbox``: a read-only length-p sequence
+    indexed by source pid that stores only the messages that are not None,
+    and compares equal to the dense tuple.
     """
     ctx = current_context()
     if ctx.sgl_only:
         raise UsageError("put is absent in SGL")
     _check_width(ctx, plan, "message plan")
     p = ctx.p
-    inbox = [[None] * p for _ in range(p)]
+    inbox: list[dict] = [{} for _ in range(p)]
 
     def sends():
         for s in range(p):
             for d, msg in _plan_items(s, plan.elems[s], p):
-                inbox[d][s] = msg
-                if msg is not None and d != s:
-                    yield s, d, default_sizing(msg)
+                if msg is not None:
+                    inbox[d][s] = msg
+                    if d != s:
+                        yield s, d, default_sizing(msg)
 
     ctx.close_superstep(sends())
-    return ParVec(map(tuple, inbox))
+    return ParVec([Inbox(msgs, p) for msgs in inbox])
 
 
 def _check_width(ctx: RunContext, pv: ParVec, what: str) -> None:

@@ -21,13 +21,15 @@ from concurrent.futures import ThreadPoolExecutor
 from contextvars import ContextVar
 from dataclasses import dataclass, is_dataclass, fields as dc_fields
 from datetime import datetime, timezone
+from functools import cached_property
 from typing import Any, Callable, Iterable, Mapping
 
 from . import __version__
-from .errors import CapacityError, ProgramError, UsageError
+from .errors import BspError, CapacityError, ProgramError, UsageError
 from .model import (
     CommMatrix,
     CostTrace,
+    Inbox,
     Machine,
     SuperstepRecord,
     as_tree,
@@ -197,40 +199,65 @@ def make_environment(backend: str, workers: int, overrides: Mapping[str, str] | 
 def _canon(value: Any) -> str:
     """Canonical text for hashing: stable across runs for equal values.
 
-    Containers are walked with an explicit stack of (children, texts, join)
-    frames, so a value nested past the recursion limit still has a digest.
+    Containers are walked with an explicit stack of (children, texts, join,
+    container) frames, so a value nested past the recursion limit still has a
+    digest.  A cycle makes the stack grow without end, so the ids of the
+    containers on it are compared each time its depth reaches a power of two
+    (O(1) amortised per container).  A cycle, and a value whose repr or
+    iteration raises, raise BspError.
     """
-    stack = [(iter((value,)), [], "".join)]
-    while True:
-        children, texts, join = stack[-1]
-        for child in children:
-            if child is None or isinstance(child, (bool, int, str, float)):
-                texts.append(repr(child))
-            elif type(child) in _SEQ_JOINS:  # the common container, framed without a call
-                stack.append((iter(child), [], _SEQ_JOINS[type(child)]))
-                break
-            elif isinstance(child, bytes):
-                texts.append("b:" + child.hex())
-            elif (frame := _canon_frame(child)) is not None:
-                stack.append(frame)
-                break
+    stack = [(iter((value,)), [], "".join, None)]
+    check_depth = 64
+    child = value
+    try:
+        while True:
+            children, texts, join, _ = stack[-1]
+            for child in children:
+                if child is None or isinstance(child, (bool, int, str, float)):
+                    texts.append(repr(child))
+                elif type(child) in _SEQ_JOINS:  # the common container, framed without a call
+                    stack.append((iter(child), [], _SEQ_JOINS[type(child)], child))
+                    break
+                elif isinstance(child, bytes):
+                    texts.append("b:" + child.hex())
+                elif (frame := _canon_frame(child)) is not None:
+                    stack.append((frame[0], [], frame[1], child))
+                    break
+                else:
+                    texts.append(repr(child))
             else:
-                texts.append(repr(child))
-        else:
-            stack.pop()
-            if not stack:
-                return join(texts)
-            stack[-1][1].append(join(texts))
+                stack.pop()
+                if not stack:
+                    return join(texts)
+                stack[-1][1].append(join(texts))
+                continue
+            if len(stack) == check_depth:
+                _reject_cycle([entry[3] for entry in stack[1:]])
+                check_depth *= 2
+    except BspError:
+        raise
+    except Exception as exc:  # a user type's repr, fields or elems
+        raise BspError(f"cannot digest a value of type {type(child).__name__}: {exc!r}") from exc
+
+
+def _reject_cycle(path: list) -> None:
+    """Raise BspError naming the cycle if a container occurs twice on the path from the root."""
+    first: dict[int, int] = {}
+    for depth, container in enumerate(path):
+        at = first.setdefault(id(container), depth)
+        if at != depth:
+            names = " -> ".join(type(c).__name__ for c in path[at : depth + 1])
+            raise BspError(f"cannot digest a value that contains itself: {names}")
 
 
 def _canon_frame(value: Any) -> tuple | None:
-    """(children, their texts, join) for a container; None for any other value."""
+    """(children, join of their texts) for a container; None for any other value."""
     name = type(value).__name__
     if isinstance(value, dict):
-        return (x for item in value.items() for x in item), [], _join_dict
+        return (x for item in value.items() for x in item), _join_dict
     if is_dataclass(value) and not isinstance(value, type):
         names = [f.name for f in dc_fields(value)]
-        return (getattr(value, n) for n in names), [], lambda texts: f"{name}(" + ",".join(map("{}={}".format, names, texts)) + ")"
+        return (getattr(value, n) for n in names), lambda texts: f"{name}(" + ",".join(map("{}={}".format, names, texts)) + ")"
     if isinstance(value, (list, tuple, set, frozenset)):
         elems = value
     elif hasattr(value, "elems"):  # ParVec
@@ -238,10 +265,11 @@ def _canon_frame(value: Any) -> tuple | None:
     else:
         return None
     unordered = isinstance(value, (set, frozenset))
-    return iter(elems), [], lambda texts: f"{name}[" + ",".join(sorted(texts) if unordered else texts) + "]"
+    return iter(elems), lambda texts: f"{name}[" + ",".join(sorted(texts) if unordered else texts) + "]"
 
 
 _SEQ_JOINS = {seq: lambda texts, name=seq.__name__: f"{name}[" + ",".join(texts) + "]" for seq in (list, tuple)}
+_SEQ_JOINS[Inbox] = _SEQ_JOINS[tuple]  # an Inbox digests as the dense tuple it stands for
 
 
 def _join_dict(texts: list[str]) -> str:
@@ -258,10 +286,14 @@ def stable_digest(value: Any) -> str:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Everything one run produced: values, trace, measurement, environment."""
+    """Everything one run produced: values, trace, measurement, environment.
+
+    ``result_digest`` is computed on first read and then cached, from the
+    result as it is at that moment: a caller who mutates the result should
+    read the digest first.
+    """
 
     result: Any
-    result_digest: str
     machine: Machine
     backend: str
     trace: CostTrace
@@ -269,15 +301,22 @@ class RunReport:
     wall_time: float | None = None
     peak_words: int = 0
 
+    @cached_property
+    def result_digest(self) -> str:
+        return stable_digest(self.result)
+
     def to_dict(self) -> dict:
+        digest = self.result_digest  # first: a value that cannot be digested fails here, not in repr
         try:
             preview = repr(self.result)
         except RecursionError:  # nested past the recursion limit
             preview = reprlib.repr(self.result)
+        except Exception as exc:  # a user type's repr
+            raise BspError(f"cannot preview a result of type {type(self.result).__name__}: {exc!r}") from exc
         if len(preview) > 200:
             preview = preview[:197] + "..."
         return {
-            "result_digest": self.result_digest,
+            "result_digest": digest,
             "result_preview": preview,
             "machine": machine_to_dict(self.machine),
             "backend": self.backend,
@@ -325,7 +364,6 @@ def run(
     trace = ctx.finish()
     return RunReport(
         result=result,
-        result_digest=stable_digest(result),
         machine=machine,
         backend=backend,
         trace=trace,

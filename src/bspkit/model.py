@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 from array import array
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence, Union
@@ -145,6 +146,49 @@ class ParVec:
 
     def __repr__(self) -> str:
         return f"ParVec{self.elems!r}"
+
+
+class Inbox(Sequence):
+    """What one pid received in a ``put``: a read-only length-p sequence indexed by source pid.
+
+    Backed by ``{source: message}``, so delivering costs the messages sent,
+    not p.  A source that sent nothing reads as None.  Indexing, slicing (a
+    tuple), iteration, ``==``, ``hash`` and ``repr`` behave as for the dense
+    length-p tuple it stands for.
+    """
+
+    __slots__ = ("_msgs", "_p")
+
+    def __init__(self, msgs: dict, p: int):
+        self._msgs = msgs
+        self._p = p
+
+    def __len__(self) -> int:
+        return self._p
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self._msgs.get, range(*index.indices(self._p))))
+        i = operator.index(index)
+        if i < 0:
+            i += self._p
+        if not 0 <= i < self._p:
+            raise IndexError("Inbox index out of range")
+        return self._msgs.get(i)
+
+    def __iter__(self) -> Iterator:
+        return map(self._msgs.get, range(self._p))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (Inbox, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 def default_sizing(value: Any) -> int:

@@ -157,11 +157,10 @@ def _put_scatter(root: int, chunks: tuple) -> ParVec:
 
 def _put_gather(root: int, pv: ParVec) -> list:
     """Gather as a put plan in which every pid sends only to the root."""
-    p = len(pv)
     plan = bsml.mkpar(
         lambda i: {} if i == root else {root: pv.elems[i]},
         work=0,
     )
-    received = bsml.put(plan)
-    at_root = received.elems[root]
-    return [pv.elems[s] if s == root else at_root[s] for s in range(p)]
+    gathered = list(bsml.put(plan).elems[root])
+    gathered[root] = pv.elems[root]
+    return gathered

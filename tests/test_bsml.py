@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 
 import pytest
 
 from bspkit import MachineConfig, apply, mkpar, nprocs, proj, put, run
+from bspkit.engine import _canon
 from bspkit.errors import DimensionError, ProgramError, RoutingError, UsageError
-from bspkit.model import ParVec
+from bspkit.model import Inbox, ParVec
 
 M4 = MachineConfig(p=4, g=1.0, l=10.0)
 
@@ -227,6 +229,67 @@ class TestPut:
 
         step = simulate(program).trace.steps[0]
         assert sum(step.comm.sent(i) for i in range(4)) == sum(step.comm.received(i) for i in range(4))
+
+
+class TestInbox:
+    """A reception reads as the dense tuple it stands for, but stores only the messages sent."""
+
+    DENSE = (None, (1,), None, "x", None)
+
+    def inbox(self):
+        def program():
+            return put(mkpar(lambda s: {2: self.DENSE[s]} if self.DENSE[s] is not None else {}, work=0))
+
+        received = simulate(program, p=5).result[2]
+        assert isinstance(received, Inbox)
+        return received
+
+    def test_indexing(self):
+        inbox = self.inbox()
+        for i in range(-5, 5):
+            assert inbox[i] == self.DENSE[i]
+        assert inbox[True] == self.DENSE[True]
+        for bad in (5, -6):
+            with pytest.raises(IndexError):
+                inbox[bad]
+        with pytest.raises(TypeError):
+            inbox["1"]
+
+    def test_slices_are_tuples(self):
+        inbox = self.inbox()
+        for sl in (slice(1, 4), slice(None, None, -1), slice(None, None, 2), slice(-2, None), slice(7, 9)):
+            assert inbox[sl] == self.DENSE[sl]
+            assert type(inbox[sl]) is tuple
+
+    def test_length_iteration_and_mixins(self):
+        inbox = self.inbox()
+        assert len(inbox) == 5
+        assert list(inbox) == list(self.DENSE)
+        assert list(reversed(inbox)) == list(reversed(self.DENSE))
+        assert "x" in inbox and inbox.count(None) == 3 and inbox.index("x") == 3
+        assert isinstance(inbox, Sequence)
+
+    def test_equals_and_hashes_as_the_dense_tuple(self):
+        inbox = self.inbox()
+        assert inbox == self.DENSE and self.DENSE == inbox
+        assert not inbox != self.DENSE
+        assert inbox == Inbox({1: (1,), 3: "x"}, 5)
+        assert hash(inbox) == hash(self.DENSE)
+        assert inbox != list(self.DENSE) and inbox != self.DENSE[:4] and inbox != Inbox({1: (1,), 3: "x"}, 6)
+        assert {self.DENSE: "dense"}[inbox] == "dense"
+
+    def test_repr_and_canonical_text_are_the_tuples(self):
+        inbox = self.inbox()
+        assert repr(inbox) == repr(self.DENSE)
+        assert _canon(inbox) == _canon(self.DENSE)
+        assert _canon(ParVec([inbox, [inbox]])) == _canon(ParVec([self.DENSE, [self.DENSE]]))
+
+    def test_read_only(self):
+        inbox = self.inbox()
+        with pytest.raises(TypeError):
+            inbox[0] = "y"
+        with pytest.raises(TypeError):
+            del inbox[1]
 
 
 class TestTransposeLaw:

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import dataclass
 
 import pytest
 
-from bspkit import MachineConfig, apply, estimate_runtime, mkpar, nprocs, proj, put, run, scatter
+from bspkit import MachineConfig, apply, engine, estimate_runtime, mkpar, nprocs, proj, put, run, run_nested, scatter
 from bspkit.algorithms import ALGORITHMS, build_program
 from bspkit.engine import DEFAULT_WORKER_CAP, make_environment, stable_digest
-from bspkit.errors import CapacityError, ProgramError, UsageError
+from bspkit.errors import BspError, CapacityError, ProgramError, UsageError
+from bspkit.perfmodel import sweep
 from bspkit.checks import two_by_two_tree
 from bspkit.model import Leaf, MachineConfig as MC, Node, ParVec, step_cost, trace_from_csv, trace_to_csv
 
@@ -249,3 +251,84 @@ class TestStableDigest:
         text = "list[" * (depth + 1) + "]" * (depth + 1)
         assert report.result_digest == hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert len(report.to_dict()["result_preview"]) <= 200
+
+    def test_cyclic_result_raises_bsp_error_naming_the_cycle(self):
+        def program():
+            a = []
+            a.append(a)
+            return [1, {"k": (a,)}]
+
+        report = run(program, M4)  # the program succeeds; only reading the digest fails
+        with pytest.raises(BspError, match=r"contains itself: list -> list$"):
+            report.result_digest
+        with pytest.raises(BspError, match="contains itself"):
+            report.to_dict()
+
+    def test_cycle_through_a_dict_and_a_dataclass(self):
+        @dataclass
+        class Cell:
+            value: object
+
+        cell = Cell(None)
+        cell.value = [{"next": cell}]
+        with pytest.raises(BspError, match=r"contains itself: Cell -> list -> dict -> Cell$"):
+            stable_digest((0, cell))
+
+    def test_shared_and_deep_values_are_not_cycles(self):
+        shared = (1, 2)
+        assert stable_digest([shared, [shared, shared]]) == stable_digest([(1, 2), [(1, 2), (1, 2)]])
+        deep = []
+        for _ in range(300):  # checked for a cycle at depths 64, 128 and 256
+            deep = [shared, deep]
+        assert len(stable_digest(deep)) == 64
+
+    def test_failing_repr_raises_bsp_error(self):
+        class Opaque:
+            def __repr__(self):
+                raise ValueError("no text")
+
+        report = run(lambda: [1, Opaque()], M4)
+        with pytest.raises(BspError, match=r"cannot digest a value of type Opaque: ValueError\('no text'\)") as err:
+            report.result_digest
+        assert isinstance(err.value.__cause__, ValueError)
+        with pytest.raises(BspError):
+            report.to_dict()
+
+    def test_failing_repr_of_a_dataclass_result_raises_bsp_error_in_to_dict(self):
+        @dataclass
+        class Pair:
+            a: int
+            b: int
+
+            def __repr__(self):
+                raise ValueError("no text")
+
+        report = run(lambda: Pair(1, 2), M4)
+        assert report.result_digest == hashlib.sha256(b"Pair(a=1,b=2)").hexdigest()
+        with pytest.raises(BspError, match="cannot preview a result of type Pair"):
+            report.to_dict()
+
+
+class TestLazyDigest:
+    @pytest.fixture
+    def digests(self, monkeypatch):
+        """Values passed to engine.stable_digest, which RunReport.result_digest calls."""
+        seen = []
+        real = engine.stable_digest
+        monkeypatch.setattr(engine, "stable_digest", lambda value: seen.append(value) or real(value))
+        return seen
+
+    def test_runs_and_sweeps_never_digest(self, digests):
+        run(build_program("total-exchange", 2, seed=1), M4)
+        run(build_program("samplesort", 40, seed=1), M4, backend="parallel")
+        run_nested(M4, build_program("broadcast", 5, seed=1))
+        sweep("total-exchange", [2, 4], [1, 2])
+        assert digests == []
+
+    def test_first_read_digests_once(self, digests):
+        report = run(build_program("samplesort", 40, seed=3), M4)
+        first, second = report.result_digest, report.result_digest
+        assert len(digests) == 1 and digests[0] is report.result
+        assert first == second == stable_digest(report.result)
+        assert report.to_dict()["result_digest"] == first
+        assert len(digests) == 1

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bspkit import Leaf, MachineConfig, Node, apply, gather, lmap, mkpar, nprocs, proj, put, run, run_nested, scatter
+from bspkit.engine import _canon
 from bspkit.errors import ProgramError, RoutingError
-from bspkit.model import CommMatrix, default_sizing, h_relation, step_cost, total_p
+from bspkit.model import CommMatrix, ParVec, default_sizing, h_relation, step_cost, total_p
 
 PARAMS = st.sampled_from((0.5, 1.0, 2.0))
 LATENCIES = st.sampled_from((0.0, 5.0, 10.0))
@@ -236,7 +237,12 @@ def test_put_matches_a_dense_reference(cfg, data):
     words = [[default_sizing(rows[s][d]) if s != d else 0 for d in range(p)] for s in range(p)]
     received = [sum(words[s][d] for s in range(p)) for d in range(p)]
     (step,) = report.trace.steps
-    assert report.result.elems == tuple(tuple(rows[s][d] for s in range(p)) for d in range(p))
+    dense = tuple(tuple(rows[s][d] for s in range(p)) for d in range(p))
+    assert report.result.elems == dense
+    assert [hash(inbox) for inbox in report.result] == list(map(hash, dense))
+    assert _canon(report.result) == _canon(ParVec(dense))
+    for d, inbox in enumerate(report.result):
+        assert inbox._msgs == {s: rows[s][d] for s in range(p) if rows[s][d] is not None}
     assert step.comm.words == tuple(map(tuple, words))
     assert step.work == tuple(s + 1 for s in range(p))
     assert report.peak_words == max(default_sizing(plans[d]) + received[d] for d in range(p))

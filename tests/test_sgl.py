@@ -20,6 +20,7 @@ from bspkit import (
     scatter,
     translate_to_bsml,
 )
+from bspkit import bsml
 from bspkit.checks import two_by_two_tree
 from bspkit.errors import DimensionError, RoutingError, UsageError
 from bspkit.library import BASIC_API, broadcast, split_blocks
@@ -222,6 +223,23 @@ class TestTranslate:
             if s != 1:
                 assert step.comm.sent(s) == 0
         assert step.comm.sent(1) == 3
+
+    def test_translated_scatter_delivers_one_message_per_pid_at_scale(self, monkeypatch):
+        p, root = 4096, 17
+        receptions = []
+
+        def recording_put(plan):
+            received = put(plan)
+            receptions.append(received)
+            return received
+
+        monkeypatch.setattr(bsml, "put", recording_put)
+        report = run(translate_to_bsml(lambda: scatter(root, [(i,) for i in range(p)])), MachineConfig(p))
+        assert report.result == ParVec((i,) for i in range(p))
+        (received,) = receptions
+        assert received[root]._msgs == {}
+        assert all(inbox._msgs == {root: (d,)} for d, inbox in enumerate(received) if d != root)
+        assert report.trace.steps[0].comm.sent(root) == p - 1
 
     def test_gather_becomes_root_column_plan(self):
         def program():
