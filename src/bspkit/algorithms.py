@@ -208,8 +208,9 @@ def _check_bodies(bodies: Iterable[Body]) -> None:
             raise ValidationError(f"body {i} has non-positive mass {b.mass}")
 
 
-def _accel(i: int, positions: Sequence[tuple[float, float]], masses: Sequence[float], g_const: float, eps: float) -> tuple[float, float]:
-    """Softened all-pairs acceleration on body i, summed in ascending j order."""
+def _accel(i: int, positions: Sequence[tuple[float, float]], masses: Sequence[float]) -> tuple[float, float]:
+    """All-pairs acceleration on body i (G = 1, softening 0.01), summed in ascending j order."""
+    g_const, eps2 = 1.0, 0.01 * 0.01
     ax = 0.0
     ay = 0.0
     xi, yi = positions[i]
@@ -218,14 +219,14 @@ def _accel(i: int, positions: Sequence[tuple[float, float]], masses: Sequence[fl
             continue
         dx = positions[j][0] - xi
         dy = positions[j][1] - yi
-        r2 = dx * dx + dy * dy + eps * eps
+        r2 = dx * dx + dy * dy + eps2
         w = g_const * masses[j] / (r2 * math.sqrt(r2))
         ax += w * dx
         ay += w * dy
     return ax, ay
 
 
-def nbody_step(d: DistArray, dt: float, *, g_const: float = 1.0, softening: float = 0.01) -> DistArray:
+def nbody_step(d: DistArray, dt: float) -> DistArray:
     """One kick-drift-kick leapfrog step over all-pairs gravity.
 
     The full body list is replicated twice (before each force evaluation), so
@@ -234,8 +235,6 @@ def nbody_step(d: DistArray, dt: float, *, g_const: float = 1.0, softening: floa
     """
     if not dt > 0:
         raise ValidationError(f"dt must be > 0, got {dt!r}")
-    if not softening > 0:
-        raise ValidationError(f"softening must be > 0, got {softening!r}")
     _check_bodies(d.to_list())
 
     half_dt = dt * 0.5
@@ -254,7 +253,7 @@ def nbody_step(d: DistArray, dt: float, *, g_const: float = 1.0, softening: floa
         def step(blk):
             out = []
             for j, b in enumerate(blk):
-                ax, ay = _accel(off + j, positions, masses, g_const, softening)
+                ax, ay = _accel(off + j, positions, masses)
                 vx = b.vel[0] + ax * half_dt
                 vy = b.vel[1] + ay * half_dt
                 out.append(Body(pos=(b.pos[0] + vx * dt, b.pos[1] + vy * dt), vel=(vx, vy), mass=b.mass))
@@ -273,7 +272,7 @@ def nbody_step(d: DistArray, dt: float, *, g_const: float = 1.0, softening: floa
         def step(blk):
             out = []
             for j, b in enumerate(blk):
-                ax, ay = _accel(off + j, positions2, masses2, g_const, softening)
+                ax, ay = _accel(off + j, positions2, masses2)
                 out.append(Body(pos=b.pos, vel=(b.vel[0] + ax * half_dt, b.vel[1] + ay * half_dt), mass=b.mass))
             return tuple(out)
 
@@ -287,7 +286,7 @@ def _nbody_work(n: int):
     return lambda blk: max(len(blk) * max(n - 1, 1), 1)
 
 
-def seq_nbody_step(bodies: Sequence[Body], dt: float, *, g_const: float = 1.0, softening: float = 0.01) -> list[Body]:
+def seq_nbody_step(bodies: Sequence[Body], dt: float) -> list[Body]:
     """Oracle: one leapfrog step computed by a direct sequential loop.
 
     Mirrors the parallel step's arithmetic (same expressions, same ascending
@@ -299,7 +298,7 @@ def seq_nbody_step(bodies: Sequence[Body], dt: float, *, g_const: float = 1.0, s
     masses = [b.mass for b in bodies]
     moved = []
     for i, b in enumerate(bodies):
-        ax, ay = _accel(i, positions, masses, g_const, softening)
+        ax, ay = _accel(i, positions, masses)
         vx = b.vel[0] + ax * half_dt
         vy = b.vel[1] + ay * half_dt
         moved.append(Body(pos=(b.pos[0] + vx * dt, b.pos[1] + vy * dt), vel=(vx, vy), mass=b.mass))
@@ -307,7 +306,7 @@ def seq_nbody_step(bodies: Sequence[Body], dt: float, *, g_const: float = 1.0, s
     masses2 = [b.mass for b in moved]
     out = []
     for i, b in enumerate(moved):
-        ax, ay = _accel(i, positions2, masses2, g_const, softening)
+        ax, ay = _accel(i, positions2, masses2)
         out.append(Body(pos=b.pos, vel=(b.vel[0] + ax * half_dt, b.vel[1] + ay * half_dt), mass=b.mass))
     return out
 

@@ -2,14 +2,15 @@
 
 Each suite returns a CheckResult; the CLI ``check`` subcommand prints one
 pass/fail line per suite and the acceptance tests call the same functions
-with the criterion-level parameters.
+with the criterion-level parameters.  ``sgl_pipeline`` builds the SGL
+programs of the suites, the ``translate`` subcommand and the property tests.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from . import algorithms as alg
 from .bsml import mkpar, nprocs, put
@@ -17,7 +18,7 @@ from .engine import estimate_runtime, run
 from .errors import UsageError
 from .library import BASIC_API, split_blocks
 from .model import Leaf, MachineConfig, Node
-from .perfmodel import DEFAULT_BASIS, fit, parse_basis, sweep
+from .perfmodel import DEFAULT_BASIS, GridRow, SweepGrid, fit, parse_basis, sweep
 from .sgl import gather, lmap, run_nested, scatter, translate_to_bsml
 
 
@@ -37,8 +38,8 @@ def _result(name: str, failures: list[str], detail_ok: str) -> CheckResult:
     return CheckResult(name, True, detail_ok)
 
 
-def _machine(p: int, g: float = 1.0, l: float = 10.0, r: float = 1.0) -> MachineConfig:
-    return MachineConfig(p=p, g=g, l=l, r=r)
+def _machine(p: int) -> MachineConfig:
+    return MachineConfig(p=p, g=1.0, l=10.0, r=1.0)
 
 
 # --- closed-form communication counts ----------------------------------------------
@@ -222,17 +223,18 @@ def suite_supersteps() -> CheckResult:
 # --- SGL expressiveness -------------------------------------------------------------------
 
 
-def sgl_expressiveness(p: int = 4, trials: int = 5, n: int = 40, seed: int = 11) -> tuple[float, list[str], list[str]]:
-    """(fraction passing put-free, passing names, failing/unexpressible names)."""
-    rng = random.Random(seed)
+def sgl_expressiveness() -> tuple[float, list[str], list[str]]:
+    """(fraction passing put-free, passing names, failing/unexpressible names), 5 trials each at p=4."""
+    p = 4
+    rng = random.Random(11)
     passing, failing = [], []
     for op in BASIC_API:
         if op.run is None:
             failing.append(f"{op.name} ({op.note})")
             continue
         ok = True
-        for _ in range(trials):
-            args = op.gen(rng, rng.randint(0, n))
+        for _ in range(5):
+            args = op.gen(rng, rng.randint(0, 40))
             want = op.oracle(p, *args)
             got, _trace = run_nested(_machine(p), lambda op=op, args=args: op.run(*args))
             if got != want:
@@ -245,17 +247,59 @@ def sgl_expressiveness(p: int = 4, trials: int = 5, n: int = 40, seed: int = 11)
 def suite_sgl_express() -> CheckResult:
     fraction, passing, failing = sgl_expressiveness()
     detail = f"{len(passing)}/{len(BASIC_API)} put-free ({fraction:.0%}); missing: {', '.join(failing) or 'none'}"
-    if fraction >= 0.8:
-        return CheckResult("sgl-express", True, detail)
-    return CheckResult("sgl-express", False, detail)
+    return CheckResult("sgl-express", fraction >= 0.8, detail)
+
+
+# --- SGL pipelines ---------------------------------------------------------------------------
+
+
+def sgl_pipeline(xs: Sequence, steps: Sequence[tuple], p: int) -> tuple[Callable[[], list], Any]:
+    """An SGL program over xs, and the value it returns on p pids.
+
+    The program runs the steps on ``split_blocks(xs, nprocs())`` and returns
+    ``list(value)``.  A step is ``("scatter", root)``, ``("gather", root)``
+    or ``("lmap", f, work)``, which applies f to every element of every
+    block.  The expected value is what the lmap steps make of
+    ``split_blocks(xs, p)``, or the exception f raised on the way.
+    """
+
+    def program():
+        value = split_blocks(xs, nprocs())
+        for step in steps:
+            if step[0] == "scatter":
+                value = scatter(step[1], value)
+            elif step[0] == "lmap":
+                value = lmap(lambda blk, f=step[1]: tuple(map(f, blk)), value, work=step[2])
+            else:
+                value = gather(step[1], value)
+        return list(value)
+
+    expected: Any = split_blocks(xs, p)
+    try:
+        for step in steps:
+            if step[0] == "lmap":
+                expected = [tuple(map(step[1], blk)) for blk in expected]
+    except Exception as exc:  # the run fails on it too
+        expected = exc
+    return program, expected
+
+
+def _random_steps(rng: random.Random, p: int) -> tuple[list[int], list[tuple]]:
+    """An input list and 1-3 rounds of scatter, lmap and gather, each round with its own roots."""
+    xs = [rng.randint(-50, 50) for _ in range(rng.randint(0, 30))]
+    kernels = (lambda v: v + 1, lambda v: v * 2, lambda v: v - 3)
+    steps = []
+    for _ in range(rng.randint(1, 3)):
+        steps += [("scatter", rng.randrange(p)), ("lmap", rng.choice(kernels), 1), ("gather", rng.randrange(p))]
+    return xs, steps
 
 
 # --- nested machines ------------------------------------------------------------------------
 
 
-def two_by_two_tree(leaf_g: float = 1.0, leaf_l: float = 10.0, level_g: float = 2.0, level_l: float = 20.0) -> Node:
-    leaf = lambda: Leaf(MachineConfig(p=2, g=leaf_g, l=leaf_l))
-    return Node(children=(leaf(), leaf()), g=level_g, l=level_l)
+def two_by_two_tree() -> Node:
+    leaf = lambda: Leaf(MachineConfig(p=2, g=1.0, l=10.0))
+    return Node(children=(leaf(), leaf()), g=2.0, l=20.0)
 
 
 def suite_nested(seed: int = 13) -> CheckResult:
@@ -279,7 +323,7 @@ def suite_nested(seed: int = 13) -> CheckResult:
             failures.append(f"{op.name}: nested != flat")
 
     for case in range(10):
-        program, expected = _random_sgl_program(rng, p=4)
+        program, expected = sgl_pipeline(*_random_steps(rng, p=4), p=4)
         nested_val, _t1 = run_nested(tree, program)
         flat_val, _t2 = run_nested(flat, program)
         if not (nested_val == flat_val == expected):
@@ -289,26 +333,6 @@ def suite_nested(seed: int = 13) -> CheckResult:
 
 
 # --- SGL -> BSML translation -----------------------------------------------------------------
-
-
-def _random_sgl_program(rng: random.Random, p: int) -> tuple[Callable, list]:
-    """A composite scatter/lmap/gather pipeline plus its expected output."""
-    xs = [rng.randint(-50, 50) for _ in range(rng.randint(0, 30))]
-    kernels = [lambda v: v + 1, lambda v: v * 2, lambda v: v - 3]
-    picks = [rng.randrange(len(kernels)) for _ in range(rng.randint(1, 3))]
-    root = rng.randrange(p)
-
-    def program():
-        pv = scatter(root, split_blocks(xs, nprocs()))
-        for c in picks:
-            f = kernels[c]
-            pv = lmap(lambda blk, f=f: tuple(f(v) for v in blk), pv)
-        return [v for blk in gather(root, pv) for v in blk]
-
-    expected = list(xs)
-    for c in picks:
-        expected = [kernels[c](v) for v in expected]
-    return program, expected
 
 
 def suite_translate(cases: int = 30, seed: int = 17) -> CheckResult:
@@ -327,7 +351,7 @@ def suite_translate(cases: int = 30, seed: int = 17) -> CheckResult:
         failures.append("translated gather sends to a non-root column")
 
     for case in range(cases):
-        program, expected = _random_sgl_program(rng, p=4)
+        program, expected = sgl_pipeline(*_random_steps(rng, p=4), p=4)
         direct = run(program, m)
         translated = run(translate_to_bsml(program), m)
         if direct.result != expected or translated.result != expected:
@@ -347,9 +371,6 @@ def suite_model_recovery(draws: int = 20, seed: int = 23) -> CheckResult:
     rng = random.Random(seed)
     terms = parse_basis(DEFAULT_BASIS)
     points = [(p, n) for p in (1, 2, 3, 4, 6, 8) for n in (1, 2, 4, 8, 16, 32)]
-
-    from .perfmodel import GridRow, SweepGrid  # local import to keep module top light
-
     for draw in range(draws):
         coef = [rng.uniform(-10, 10) for _ in terms]
         rows = tuple(
@@ -404,7 +425,7 @@ def suite_determinism(n: int = 64, seed: int = 29) -> CheckResult:
 
 def suite_recosting() -> CheckResult:
     failures = []
-    m = _machine(4, g=1.0, l=10.0)
+    m = _machine(4)
     trace = run(alg.build_program("samplesort", 1000, seed=5), m).trace
 
     same = estimate_runtime(trace, m)
@@ -425,6 +446,14 @@ def suite_recosting() -> CheckResult:
 
 
 # --- registry ---------------------------------------------------------------------------------------
+
+#: The keyword each suite takes for the CLI's size options p, cases and instances.
+_SIZE_KEYWORDS = {
+    "transpose": {"p": "max_p", "cases": "cases"},
+    "oracles": {"instances": "instances"},
+    "translate": {"cases": "cases"},
+    "model-recovery": {"cases": "draws"},
+}
 
 ALL_SUITES: dict[str, Callable[[], CheckResult]] = {
     "exact-counts": suite_exact_counts,
@@ -448,22 +477,15 @@ def run_suites(
     instances: int | None = None,
 ) -> list[CheckResult]:
     """Run the selected suites (default: all) at the configured sizes."""
+    sizes = {k: v for k, v in (("p", p), ("cases", cases), ("instances", instances)) if v is not None}
+    for flag, value in sizes.items():
+        if value < 1:
+            raise UsageError(f"{flag} must be at least 1, got {value}")
     selected = list(names) if names else list(ALL_SUITES)
     results = []
     for name in selected:
         if name not in ALL_SUITES:
             raise UsageError(f"unknown suite {name!r}; known: {', '.join(ALL_SUITES)}")
-        kwargs = {}
-        if name == "transpose":
-            if p is not None:
-                kwargs["max_p"] = p
-            if cases is not None:
-                kwargs["cases"] = cases
-        elif name == "oracles" and instances is not None:
-            kwargs["instances"] = instances
-        elif name == "translate" and cases is not None:
-            kwargs["cases"] = cases
-        elif name == "model-recovery" and cases is not None:
-            kwargs["draws"] = cases
-        results.append(ALL_SUITES[name](**kwargs))
+        keywords = _SIZE_KEYWORDS.get(name, {})
+        results.append(ALL_SUITES[name](**{keywords[k]: v for k, v in sizes.items() if k in keywords}))
     return results

@@ -12,11 +12,9 @@ import sys
 from pathlib import Path
 
 from .algorithms import ALGORITHMS, DISTRIBUTIONS, build_program
-from .bsml import nprocs
-from .checks import ALL_SUITES, run_suites
+from .checks import ALL_SUITES, run_suites, sgl_pipeline
 from .engine import run
 from .errors import BspError, ProgramError, UsageError
-from .library import split_blocks
 from .model import (
     DEFAULT_G,
     DEFAULT_L,
@@ -37,7 +35,7 @@ from .perfmodel import (
     surface_to_csv,
     sweep,
 )
-from .sgl import gather, lmap, scatter, translate_to_bsml
+from .sgl import translate_to_bsml
 
 
 def _env_pairs(items) -> dict[str, str]:
@@ -127,20 +125,20 @@ def cmd_fit(args) -> int:
         stats = crossval(grid, args.basis, args.crossval, metric=args.metric)
         print(f"crossval k={args.crossval}: rms={stats.rms!r} max_abs={stats.max_abs!r}", file=sys.stderr)
     if args.surface:
-        surf = surface(grid, metric=model.metric)
-        if surf.kind == "curve":
-            print("warning: fewer than 2 distinct p or n values; emitting curve format", file=sys.stderr)
-        _write(args.surface, surface_to_csv(surf))
+        _write_surface(args.surface, grid, model.metric)
     return 0
 
 
 def cmd_surface(args) -> int:
-    grid = grid_from_csv(Path(args.grid).read_text(encoding="utf-8"))
-    surf = surface(grid, metric=args.metric)
+    _write_surface(args.out, grid_from_csv(Path(args.grid).read_text(encoding="utf-8")), args.metric)
+    return 0
+
+
+def _write_surface(path: str | None, grid, metric: str | None) -> None:
+    surf = surface(grid, metric=metric)
     if surf.kind == "curve":
         print("warning: fewer than 2 distinct p or n values; emitting curve format", file=sys.stderr)
-    _write(args.out, surface_to_csv(surf))
-    return 0
+    _write(path, surface_to_csv(surf))
 
 
 def cmd_check(args) -> int:
@@ -156,50 +154,29 @@ def cmd_check(args) -> int:
     return 0
 
 
-def _translate_programs(n: int, seed: int):
-    xs = list(range(seed, seed + n))
-
-    def scatter_prog():
-        return list(scatter(0, split_blocks(xs, nprocs())))
-
-    def gather_prog():
-        pv = scatter(0, split_blocks(xs, nprocs()))
-        return gather(0, pv)
-
-    def pipeline_prog():
-        pv = scatter(0, split_blocks(xs, nprocs()))
-        pv = lmap(lambda blk: tuple(v + 1 for v in blk), pv)
-        return gather(0, pv)
-
-    return {"scatter": scatter_prog, "gather": gather_prog, "pipeline": pipeline_prog}
+#: The steps of each ``translate`` program, run over the input seed..seed+n-1.
+TRANSLATE_STEPS = {
+    "scatter": [("scatter", 0)],
+    "gather": [("scatter", 0), ("gather", 0)],
+    "pipeline": [("scatter", 0), ("lmap", lambda v: v + 1, 1), ("gather", 0)],
+}
 
 
 def cmd_translate(args) -> int:
-    programs = _translate_programs(args.n, args.seed)
-    if args.program not in programs:
-        raise UsageError(f"unknown program {args.program!r}; known: {', '.join(programs)}")
-    machine = MachineConfig(p=args.p, g=args.g, l=args.l, r=args.r)
-    program = programs[args.program]
+    if args.program not in TRANSLATE_STEPS:
+        raise UsageError(f"unknown program {args.program!r}; known: {', '.join(TRANSLATE_STEPS)}")
+    machine = _machine_from_args(args)
+    program, _expected = sgl_pipeline(range(args.seed, args.seed + args.n), TRANSLATE_STEPS[args.program], args.p)
     direct = run(program, machine)
     translated = run(translate_to_bsml(program), machine)
+    summary = lambda report: {"result_digest": report.result_digest, "sync_count": report.trace.sync_count}
+    put_plans = [{"index": s.index, "comm": [list(row) for row in s.comm.words]} for s in translated.trace.steps if s.comm is not None]
     dump = {
         "program": args.program,
         "p": args.p,
-        "direct": {
-            "result_digest": direct.result_digest,
-            "sync_count": direct.trace.sync_count,
-        },
-        "translated": {
-            "result_digest": translated.result_digest,
-            "sync_count": translated.trace.sync_count,
-            "put_plans": [
-                {"index": s.index, "comm": [list(row) for row in s.comm.words]}
-                for s in translated.trace.steps
-                if s.comm is not None
-            ],
-        },
-        "equivalent": direct.result_digest == translated.result_digest
-        and direct.trace.sync_count == translated.trace.sync_count,
+        "direct": summary(direct),
+        "translated": {**summary(translated), "put_plans": put_plans},
+        "equivalent": summary(direct) == summary(translated),
     }
     _write(args.out, json.dumps(dump, indent=2, sort_keys=True) + "\n")
     return 0 if dump["equivalent"] else 1
@@ -272,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(fn=cmd_check)
 
     p_tr = subs.add_parser("translate", help="dump an SGL program next to its BSML translation")
-    p_tr.add_argument("--program", required=True, help="scatter | gather | pipeline")
+    p_tr.add_argument("--program", required=True, help=" | ".join(TRANSLATE_STEPS))
     p_tr.add_argument("--n", type=int, default=8)
     p_tr.add_argument("--seed", type=int, default=0)
     _add_machine_flags(p_tr, with_tree=False)
@@ -290,10 +267,7 @@ def main(argv=None) -> int:
     except ProgramError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except BspError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (BspError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

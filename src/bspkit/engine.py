@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import os
 import platform
+import re
 import reprlib
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -179,18 +180,13 @@ def make_environment(backend: str, workers: int, overrides: Mapping[str, str] | 
         if k in base:
             base[k] = v
         elif k == "cores_used":
-            workers = int(v)
+            try:
+                workers = int(v)
+            except ValueError as exc:
+                raise UsageError(f"cores_used must be an integer, got {v!r}") from exc
         else:
             extra.append((str(k), str(v)))
-    return EnvironmentRecord(
-        software=base["software"],
-        hardware=base["hardware"],
-        cores_used=workers,
-        threads=base["threads"],
-        measured=base["measured"],
-        timestamp=datetime.now(timezone.utc).isoformat(),
-        extra=tuple(extra),
-    )
+    return EnvironmentRecord(**base, cores_used=workers, timestamp=datetime.now(timezone.utc).isoformat(), extra=tuple(extra))
 
 
 # --- result digesting --------------------------------------------------------
@@ -203,8 +199,9 @@ def _canon(value: Any) -> str:
     container) frames, so a value nested past the recursion limit still has a
     digest.  A cycle makes the stack grow without end, so the ids of the
     containers on it are compared each time its depth reaches a power of two
-    (O(1) amortised per container).  A cycle, and a value whose repr or
-    iteration raises, raise BspError.
+    (O(1) amortised per container).  A cycle, a value whose repr or
+    iteration raises, and a repr that carries a memory address (differing
+    from process to process) raise BspError.
     """
     stack = [(iter((value,)), [], "".join, None)]
     check_depth = 64
@@ -225,6 +222,8 @@ def _canon(value: Any) -> str:
                     break
                 else:
                     texts.append(repr(child))
+                    if _ADDRESS.search(texts[-1]):
+                        raise BspError(f"cannot digest a value of type {type(child).__name__}: its repr carries a memory address")
             else:
                 stack.pop()
                 if not stack:
@@ -268,6 +267,7 @@ def _canon_frame(value: Any) -> tuple | None:
     return iter(elems), lambda texts: f"{name}[" + ",".join(sorted(texts) if unordered else texts) + "]"
 
 
+_ADDRESS = re.compile(r" at 0x[0-9A-Fa-f]+")
 _SEQ_JOINS = {seq: lambda texts, name=seq.__name__: f"{name}[" + ",".join(texts) + "]" for seq in (list, tuple)}
 _SEQ_JOINS[Inbox] = _SEQ_JOINS[tuple]  # an Inbox digests as the dense tuple it stands for
 

@@ -169,8 +169,8 @@ class BasicOp:
     note: str = ""
 
 
-def _ints(rng: random.Random, n: int, lo: int = 0, hi: int = 99) -> list[int]:
-    return [rng.randint(lo, hi) for _ in range(n)]
+def _ints(rng: random.Random, n: int) -> list[int]:
+    return [rng.randint(0, 99) for _ in range(n)]
 
 
 def _oracle_scan(p, xs):

@@ -67,6 +67,10 @@ class TestRun:
     def test_bad_env_flag_exit_2(self, capsys):
         assert main(["run", "--algo", "empty", "--env", "novalue"]) == 2
 
+    def test_non_integer_cores_used_exit_2(self, capsys):
+        assert main(["run", "--algo", "empty", "--env", "cores_used=abc"]) == 2
+        assert "cores_used must be an integer, got 'abc'" in capsys.readouterr().err
+
     def test_machine_tree_config(self, tmp_path):
         cfg = tmp_path / "tree.json"
         cfg.write_text(json.dumps({"children": [{"p": 2, "g": 1, "l": 10}, {"p": 2, "g": 1, "l": 10}], "g": 2, "l": 20}))
@@ -164,6 +168,20 @@ class TestCheck:
         assert main(["check", "--suite", "exact-counts", "--suite", "recosting"]) == 0
         out = capsys.readouterr().out
         assert "exact-counts" in out and "PASS" in out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--suite", "transpose", "--p", "0"],
+            ["--suite", "translate", "--cases", "0"],
+            ["--suite", "oracles", "--instances", "0"],
+            ["--cases", "-3"],
+        ],
+    )
+    def test_size_below_one_exit_2(self, capsys, flags):
+        assert main(["check", *flags]) == 2
+        err = capsys.readouterr().err
+        assert "must be at least 1" in err and flags[-2].lstrip("-") in err
 
     def test_invalid_suite_exit_2(self):
         with pytest.raises(SystemExit) as exc:

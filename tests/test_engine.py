@@ -308,6 +308,26 @@ class TestStableDigest:
         with pytest.raises(BspError, match="cannot preview a result of type Pair"):
             report.to_dict()
 
+    class Cell:
+        pass
+
+    @pytest.mark.parametrize(
+        "value, name", [(object(), "object"), (Cell(), "Cell"), (lambda: 1, "function"), ([].append, "builtin_function_or_method")]
+    )
+    def test_value_whose_repr_carries_a_memory_address_is_rejected(self, value, name):
+        report = run(lambda: [1, (2, {"k": value})], M4)
+        with pytest.raises(BspError, match=rf"cannot digest a value of type {name}: its repr carries a memory address"):
+            report.result_digest
+        with pytest.raises(BspError):
+            report.to_dict()
+
+    def test_value_with_its_own_repr_and_address_like_text_still_digest(self):
+        class Named:
+            def __repr__(self):
+                return "Named()"
+
+        assert stable_digest([Named(), "stored at 0x1f"]) == hashlib.sha256(b"list[Named(),'stored at 0x1f']").hexdigest()
+
 
 class TestLazyDigest:
     @pytest.fixture

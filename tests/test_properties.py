@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bspkit import Leaf, MachineConfig, Node, apply, gather, lmap, mkpar, nprocs, proj, put, run, run_nested, scatter
-from bspkit.engine import _canon
+from bspkit import Leaf, MachineConfig, Node, apply, gather, mkpar, nprocs, proj, put, run, run_nested, scatter, translate_to_bsml
+from bspkit.checks import sgl_pipeline
+from bspkit.engine import _canon, stable_digest
 from bspkit.errors import ProgramError, RoutingError
 from bspkit.model import CommMatrix, ParVec, default_sizing, h_relation, step_cost, total_p
 
@@ -29,20 +30,24 @@ def trees(depth: int):
 machines = st.one_of(flat_machines, trees(3))
 
 
+#: Element functions of SGL pipelines; the last raises ZeroDivisionError on multiples of 7.
+KERNELS = (lambda v: 2 * v + 1, lambda v: v - 3, lambda v: 1 // (v % 7))
+
+
 @st.composite
-def sgl_programs(draw, p: int):
-    """A scatter / lmap / gather pipeline over random blocks, with random roots and work."""
-    blocks = draw(st.lists(st.lists(st.integers(-9, 9), max_size=4).map(tuple), min_size=p, max_size=p))
-    rounds = draw(st.lists(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1), st.integers(0, 3)), min_size=1, max_size=3))
+def sgl_steps(draw, p: int, kernels=KERNELS[:2]):
+    """1-3 rounds of scatter, 0-2 lmaps and gather, with random roots, element functions and work."""
+    pids = st.integers(0, p - 1)
+    lmaps = st.lists(st.tuples(st.just("lmap"), st.sampled_from(kernels), st.integers(0, 3)), max_size=2)
+    steps = []
+    for _ in range(draw(st.integers(1, 3))):
+        steps += [("scatter", draw(pids)), *draw(lmaps), ("gather", draw(pids))]
+    return steps
 
-    def program():
-        current = blocks
-        for src, dst, work in rounds:
-            pv = lmap(lambda blk: tuple(2 * v + 1 for v in blk), scatter(src, current), work=work)
-            current = gather(dst, pv)
-        return current
 
-    return program
+def sgl_inputs(p: int):
+    """Input lists from empty to three elements per pid, so blocks range from empty to uneven."""
+    return st.lists(st.integers(-20, 20), max_size=3 * p)
 
 
 messages = st.one_of(st.none(), st.lists(st.integers(0, 9), max_size=3).map(tuple))
@@ -202,11 +207,11 @@ def test_gather_moves_the_transpose_of_scatter(machine, data):
 @given(flat_machines, st.data())
 @settings(max_examples=60, deadline=None)
 def test_flat_run_equals_one_leaf_run_nested(cfg, data):
-    program = data.draw(sgl_programs(cfg.p))
+    program, expected = sgl_pipeline(data.draw(sgl_inputs(cfg.p)), data.draw(sgl_steps(cfg.p)), cfg.p)
     report = run(program, cfg)
     result, trace = run_nested(Leaf(cfg), program)
     assert report.machine is cfg
-    assert result == report.result
+    assert result == report.result == expected
     assert step_tuples(trace) == step_tuples(report.trace)
 
 
@@ -221,11 +226,37 @@ def test_backends_agree_on_data_and_errors(cfg, data):
 @settings(max_examples=60, deadline=None)
 def test_stored_tree_costs_follow_the_recursive_rule(tree, data):
     p = total_p(tree)
-    _res, sgl_trace = run_nested(tree, data.draw(sgl_programs(p)))
+    program, _expected = sgl_pipeline(data.draw(sgl_inputs(p)), data.draw(sgl_steps(p)), p)
+    _res, sgl_trace = run_nested(tree, program)
     put_trace = run(data.draw(put_programs(p)), tree).trace
     for step in sgl_trace.steps + put_trace.steps:
         assert step.cost == step_cost(step.work, step.comm, tree) == reference_cost(step.work, step.comm, tree)
         assert step.recost(tree) == step.cost
+
+
+def translation_outcome(program, machine):
+    """(what every machine keeps: the failure, or the digest and sync count; the per-step tuples)."""
+    try:
+        report = run(program, machine)
+    except ProgramError as exc:
+        return ("failed", exc.pid, exc.superstep, type(exc.cause)), None
+    return ("ran", report.result_digest, report.trace.sync_count), step_tuples(report.trace)
+
+
+@given(machines, st.data())
+@settings(max_examples=150, deadline=None)
+def test_translation_keeps_outcome_and_flat_costs(machine, data):
+    p = total_p(machine)
+    program, expected = sgl_pipeline(data.draw(sgl_inputs(p)), data.draw(sgl_steps(p, KERNELS)), p)
+    direct, direct_steps = translation_outcome(program, machine)
+    translated, translated_steps = translation_outcome(translate_to_bsml(program), machine)
+    assert translated == direct
+    if isinstance(expected, Exception):
+        assert direct[0] == "failed" and direct[3] is type(expected)
+    else:
+        assert direct[1] == stable_digest(expected)
+    if isinstance(machine, MachineConfig):
+        assert translated_steps == direct_steps
 
 
 @given(flat_machines, st.data())

@@ -21,7 +21,7 @@ from bspkit import (
     translate_to_bsml,
 )
 from bspkit import bsml
-from bspkit.checks import two_by_two_tree
+from bspkit.checks import sgl_pipeline, two_by_two_tree
 from bspkit.errors import DimensionError, RoutingError, UsageError
 from bspkit.library import BASIC_API, broadcast, split_blocks
 from bspkit.model import ParVec
@@ -258,15 +258,11 @@ class TestTranslate:
             xs = [rng.randint(-99, 99) for _ in range(rng.randint(0, 40))]
             shift = rng.randint(-5, 5)
             root = rng.randrange(4)
-
-            def program(xs=xs, shift=shift, root=root):
-                pv = scatter(root, split_blocks(xs, 4))
-                pv = lmap(lambda blk, shift=shift: tuple(v + shift for v in blk), pv)
-                return [v for blk in gather(root, pv) for v in blk]
-
+            steps = [("scatter", root), ("lmap", lambda v, shift=shift: v + shift, 1), ("gather", root)]
+            program, expected = sgl_pipeline(xs, steps, 4)
             direct = run(program, M4)
             translated = run(translate_to_bsml(program), M4)
-            assert direct.result == translated.result == [v + shift for v in xs]
+            assert direct.result == translated.result == expected == split_blocks([v + shift for v in xs], 4)
             assert direct.trace.sync_count == translated.trace.sync_count
 
     def test_translated_h_matches_direct_for_unit_chunks(self):

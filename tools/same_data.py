@@ -9,7 +9,10 @@ at n in {0, 5, 40}; the broadcast, reduce and scan programs through
 and ``translate_to_bsml``; put programs in each plan format; and programs
 whose element functions call a primitive or raise.  Every program runs on
 flat p in {1, 2, 3, 4, 7, 16}, on the 2x2 tree and on a 3-level tree, on
-both backends.
+both backends.  It also runs ``bspkit translate --program PROG --p P`` for
+each of the three programs at P in {1, 4, 7}, in process through
+``bspkit.cli.main``, and records its exit status and the sha256 of its
+stdout.
 
 A record is, for a run that succeeds, its result digest, peak words per pid
 and a sha256 of the per-step ``(index, h, words, max_work, cost, work,
@@ -20,7 +23,9 @@ and cause type.  Exit status: 0 when every record matches, 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -33,6 +38,8 @@ SIZES = (0, 5, 40)
 TRANSLATED = ("broadcast", "reduce", "scan")
 SGL_PROGRAMS = 20
 FLAT_P = (1, 2, 3, 4, 7, 16)
+TRANSLATE_PROGRAMS = ("scatter", "gather", "pipeline")
+TRANSLATE_P = (1, 4, 7)
 BACKENDS = ("simulate", "parallel")
 
 
@@ -180,6 +187,21 @@ def emit() -> None:
             for backend in BACKENDS:
                 key = f"{name} @ {machine_name} / {backend}"
                 print(json.dumps({"key": key, "record": record(runner, machine, backend)}, sort_keys=True))
+    for key, dump in translate_dumps():
+        print(json.dumps({"key": key, "record": dump}, sort_keys=True))
+
+
+def translate_dumps():
+    """(key, record) of each ``bspkit translate`` dump: exit status and sha256 of what it printed."""
+    from bspkit.cli import main
+
+    for program in TRANSLATE_PROGRAMS:
+        for p in TRANSLATE_P:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["translate", "--program", program, "--p", str(p)])
+            digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+            yield f"cli/translate/{program} @ p={p}", {"exit": code, "sha256": digest}
 
 
 def collect(src: str) -> dict[str, dict]:
