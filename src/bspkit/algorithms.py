@@ -15,14 +15,14 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from hashlib import blake2b
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Any, Callable, Iterable, Sequence
 
 from .bsml import apply, mkpar, nprocs, proj, put
 from .errors import UsageError, ValidationError
-from .library import broadcast, split_blocks
+from .library import broadcast, reduce, scan, split_blocks, tree_fold  # re-exported: the collectives live in library
 from .model import ParVec
-from .sgl import gather, lmap, scatter
+from .sgl import lmap, scatter
 
 
 def _papply(f: Callable[[int, Any], Any], pv: ParVec, work: Any = 1) -> ParVec:
@@ -33,6 +33,11 @@ def _papply(f: Callable[[int, Any], Any], pv: ParVec, work: Any = 1) -> ParVec:
 
 def _block_work(blk) -> int:
     return max(len(blk), 1)
+
+
+def _rows_work(rows) -> int:
+    """Work of reading an inbox: the items received, at least 1."""
+    return sum(len(r) for r in rows if r) or 1
 
 
 # --- distributed arrays -----------------------------------------------------
@@ -49,9 +54,6 @@ class DistArray:
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(blk) for blk in self.blocks)
-
-    def total(self) -> int:
-        return sum(self.sizes())
 
 
 def distribute(xs: Sequence) -> DistArray:
@@ -79,35 +81,6 @@ def ring_shift(n: int) -> ParVec:
     p = nprocs()
     plans = mkpar(lambda s: {(s + 1) % p: tuple([s] * n)}, work=0)
     return put(plans)
-
-
-# --- reduce / scan ----------------------------------------------------------
-
-
-def tree_fold(op: Callable, values: Sequence):
-    """Fold in a fixed left-balanced binary tree order: ((a.b),(c.d))..."""
-    items = list(values)
-    if not items:
-        raise UsageError("tree_fold needs at least one value")
-    while len(items) > 1:
-        items = [op(items[i], items[i + 1]) if i + 1 < len(items) else items[i] for i in range(0, len(items), 2)]
-    return items[0]
-
-
-def reduce(op: Callable, pv: ParVec):
-    """Combine the p per-pid values in fixed tree order; one superstep."""
-    return tree_fold(op, gather(0, pv))
-
-
-def scan(op: Callable, pv: ParVec) -> ParVec:
-    """Inclusive prefix over pids: result[i] = fold of pv[0..i]; two supersteps."""
-    values = gather(0, pv)
-    prefix = []
-    acc = None
-    for i, v in enumerate(values):
-        acc = v if i == 0 else op(acc, v)
-        prefix.append(acc)
-    return scatter(0, prefix)
 
 
 # --- parallel sample sort ----------------------------------------------------
@@ -148,7 +121,7 @@ def sample_sort(d: DistArray) -> DistArray:
     splitter_plans = _papply(
         lambda i, rows: dict.fromkeys(range(p), pick_splitters(rows)) if i == 0 else {},
         at_root,
-        work=lambda rows: sum(len(r) for r in rows if r) or 1,
+        work=_rows_work,
     )
     with_splitters = put(splitter_plans)  # superstep 2: splitter broadcast
 
@@ -163,7 +136,7 @@ def sample_sort(d: DistArray) -> DistArray:
     merged = _papply(
         lambda i, rows: tuple(k for (k, _s, _j) in heapq.merge(*(r for r in rows if r))),
         exchanged,
-        work=lambda rows: sum(len(r) for r in rows if r) or 1,
+        work=_rows_work,
     )
     return DistArray(merged)
 
@@ -238,48 +211,31 @@ def nbody_step(d: DistArray, dt: float) -> DistArray:
     _check_bodies(d.to_list())
 
     half_dt = dt * 0.5
-    offsets = []
-    acc = 0
-    for size in d.sizes():
-        offsets.append(acc)
-        acc += size
 
-    snapshot = proj(d.blocks)  # superstep 1: replicate current state
+    def kick_drift(b, ax, ay):
+        vx = b.vel[0] + ax * half_dt
+        vy = b.vel[1] + ay * half_dt
+        return Body(pos=(b.pos[0] + vx * dt, b.pos[1] + vy * dt), vel=(vx, vy), mass=b.mass)
+
+    def kick(b, ax, ay):
+        return Body(pos=b.pos, vel=(b.vel[0] + ax * half_dt, b.vel[1] + ay * half_dt), mass=b.mass)
+
+    moved = _replicate_and_update(d.blocks, kick_drift)  # superstep 1: replicate current state
+    return DistArray(_replicate_and_update(moved, kick))  # superstep 2: replicate drifted positions
+
+
+def _replicate_and_update(blocks: ParVec, update: Callable) -> ParVec:
+    """Replicate every body with proj, then replace each local body b by update(b, *its acceleration)."""
+    snapshot = proj(blocks)
+    offsets = list(accumulate(map(len, snapshot), initial=0))  # global index of each pid's first body
     flat = [b for blk in snapshot for b in blk]
     positions = [b.pos for b in flat]
     masses = [b.mass for b in flat]
-
-    def kick_drift(off):
-        def step(blk):
-            out = []
-            for j, b in enumerate(blk):
-                ax, ay = _accel(off + j, positions, masses)
-                vx = b.vel[0] + ax * half_dt
-                vy = b.vel[1] + ay * half_dt
-                out.append(Body(pos=(b.pos[0] + vx * dt, b.pos[1] + vy * dt), vel=(vx, vy), mass=b.mass))
-            return tuple(out)
-
-        return step
-
-    moved = apply(mkpar(lambda i: kick_drift(offsets[i]), work=0), d.blocks, work=_nbody_work(len(flat)))
-
-    snapshot2 = proj(moved)  # superstep 2: replicate drifted positions
-    flat2 = [b for blk in snapshot2 for b in blk]
-    positions2 = [b.pos for b in flat2]
-    masses2 = [b.mass for b in flat2]
-
-    def final_kick(off):
-        def step(blk):
-            out = []
-            for j, b in enumerate(blk):
-                ax, ay = _accel(off + j, positions2, masses2)
-                out.append(Body(pos=b.pos, vel=(b.vel[0] + ax * half_dt, b.vel[1] + ay * half_dt), mass=b.mass))
-            return tuple(out)
-
-        return step
-
-    final = apply(mkpar(lambda i: final_kick(offsets[i]), work=0), moved, work=_nbody_work(len(flat)))
-    return DistArray(final)
+    return _papply(
+        lambda i, blk: tuple(update(b, *_accel(offsets[i] + j, positions, masses)) for j, b in enumerate(blk)),
+        blocks,
+        work=_nbody_work(len(flat)),
+    )
 
 
 def _nbody_work(n: int):
@@ -409,7 +365,7 @@ def hash_lookup(table: DistHash, queries: DistArray) -> DistArray:
         table.table,
         work=0,
     )
-    answer_plans = apply(answer_fns, questions, work=lambda rows: sum(len(r) for r in rows if r) or 1)
+    answer_plans = apply(answer_fns, questions, work=_rows_work)
     answers = put(answer_plans)  # superstep 2: answers back
 
     def assemble(i, rows):
@@ -420,7 +376,7 @@ def hash_lookup(table: DistHash, queries: DistArray) -> DistArray:
                     out[j] = val
         return tuple(out)
 
-    return DistArray(_papply(assemble, answers, work=lambda rows: sum(len(r) for r in rows if r) or 1))
+    return DistArray(_papply(assemble, answers, work=_rows_work))
 
 
 def seq_lookup(pairs: Iterable[tuple], keys: Sequence) -> list:

@@ -78,9 +78,9 @@ def suite_exact_counts(p_range: Sequence[int] = range(1, 9), n_list: Sequence[in
 # --- the put transpose law -----------------------------------------------------------
 
 
-def suite_transpose(max_p: int = 5, cases: int = 1000, seed: int = 2024) -> CheckResult:
+def suite_transpose(max_p: int = 5, cases: int = 1000) -> CheckResult:
     """put's received/sent relation equals the brute-force p x p transpose."""
-    rng = random.Random(seed)
+    rng = random.Random(2024)
     failures = []
     for case in range(cases):
         p = rng.randint(1, max_p)
@@ -123,9 +123,9 @@ def suite_transpose(max_p: int = 5, cases: int = 1000, seed: int = 2024) -> Chec
 # --- oracle equivalence ----------------------------------------------------------------
 
 
-def suite_oracles(instances: int = 100, p_list: Sequence[int] = (1, 2, 3, 4, 8), seed: int = 7) -> CheckResult:
+def suite_oracles(instances: int = 100, p_list: Sequence[int] = (1, 2, 3, 4, 8)) -> CheckResult:
     failures = []
-    rng = random.Random(seed)
+    rng = random.Random(7)
     distributions = ("uniform", "sorted", "reverse", "equal")
 
     for case in range(instances):
@@ -302,7 +302,7 @@ def two_by_two_tree() -> Node:
     return Node(children=(leaf(), leaf()), g=2.0, l=20.0)
 
 
-def suite_nested(seed: int = 13) -> CheckResult:
+def suite_nested() -> CheckResult:
     failures = []
 
     # hand-decomposed cost: level 2*2+20 = 24, each leaf 1*1+10 = 11, total 35
@@ -310,7 +310,7 @@ def suite_nested(seed: int = 13) -> CheckResult:
     if trace.steps[0].cost != 35.0:
         failures.append(f"nested scatter cost {trace.steps[0].cost} != 35.0")
 
-    rng = random.Random(seed)
+    rng = random.Random(13)
     tree = two_by_two_tree()
     flat = _machine(4)
     for op in BASIC_API:
@@ -335,9 +335,9 @@ def suite_nested(seed: int = 13) -> CheckResult:
 # --- SGL -> BSML translation -----------------------------------------------------------------
 
 
-def suite_translate(cases: int = 30, seed: int = 17) -> CheckResult:
+def suite_translate(cases: int = 30) -> CheckResult:
     failures = []
-    rng = random.Random(seed)
+    rng = random.Random(17)
     m = _machine(4)
 
     # construction laws: only the root row (scatter) / root column (gather) carry words
@@ -366,9 +366,9 @@ def suite_translate(cases: int = 30, seed: int = 17) -> CheckResult:
 # --- model recovery ----------------------------------------------------------------------------
 
 
-def suite_model_recovery(draws: int = 20, seed: int = 23) -> CheckResult:
+def suite_model_recovery(draws: int = 20) -> CheckResult:
     failures = []
-    rng = random.Random(seed)
+    rng = random.Random(23)
     terms = parse_basis(DEFAULT_BASIS)
     points = [(p, n) for p in (1, 2, 3, 4, 6, 8) for n in (1, 2, 4, 8, 16, 32)]
     for draw in range(draws):
@@ -402,9 +402,10 @@ def _comparable_report(report) -> dict:
     return d
 
 
-def suite_determinism(n: int = 64, seed: int = 29) -> CheckResult:
+def suite_determinism() -> CheckResult:
     failures = []
     m = _machine(4)
+    n, seed = 64, 29
     for name in sorted(alg.ALGORITHMS):
         first = run(alg.build_program(name, n, seed), m)
         second = run(alg.build_program(name, n, seed), m)
@@ -476,16 +477,24 @@ def run_suites(
     cases: int | None = None,
     instances: int | None = None,
 ) -> list[CheckResult]:
-    """Run the selected suites (default: all) at the configured sizes."""
+    """Run the selected suites (default: all) at the configured sizes.
+
+    Every suite runs: one that raises is reported as failed, with the error
+    as its detail.
+    """
     sizes = {k: v for k, v in (("p", p), ("cases", cases), ("instances", instances)) if v is not None}
     for flag, value in sizes.items():
         if value < 1:
             raise UsageError(f"{flag} must be at least 1, got {value}")
     selected = list(names) if names else list(ALL_SUITES)
+    unknown = [name for name in selected if name not in ALL_SUITES]
+    if unknown:
+        raise UsageError(f"unknown suite {unknown[0]!r}; known: {', '.join(ALL_SUITES)}")
     results = []
     for name in selected:
-        if name not in ALL_SUITES:
-            raise UsageError(f"unknown suite {name!r}; known: {', '.join(ALL_SUITES)}")
         keywords = _SIZE_KEYWORDS.get(name, {})
-        results.append(ALL_SUITES[name](**{keywords[k]: v for k, v in sizes.items() if k in keywords}))
+        try:
+            results.append(ALL_SUITES[name](**{keywords[k]: v for k, v in sizes.items() if k in keywords}))
+        except Exception as exc:  # a broken suite must not hide the verdicts of the others
+            results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
     return results

@@ -182,8 +182,10 @@ def make_environment(backend: str, workers: int, overrides: Mapping[str, str] | 
         elif k == "cores_used":
             try:
                 workers = int(v)
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise UsageError(f"cores_used must be an integer, got {v!r}") from exc
+            if workers < 1:
+                raise UsageError(f"cores_used must be at least 1, got {v!r}")
         else:
             extra.append((str(k), str(v)))
     return EnvironmentRecord(**base, cores_used=workers, timestamp=datetime.now(timezone.utc).isoformat(), extra=tuple(extra))
@@ -339,18 +341,18 @@ def run(
 
     Raises ProgramError (with the partial trace attached) if the program
     itself fails; CapacityError if the parallel backend would need more than
-    ``worker_cap`` pids.
+    ``worker_cap`` pids; UsageError for a bad ``env`` before anything runs.
     """
     if backend not in BACKENDS:
         raise UsageError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     p = total_p(machine)
-    pool = None
     workers = 1
     if backend == "parallel":
         if p > worker_cap:
             raise CapacityError(f"p={p} exceeds the worker cap of {worker_cap}")
         workers = min(p, os.cpu_count() or 1)
-        pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="bspkit-pid")
+    environment = make_environment(backend, workers, env)
+    pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="bspkit-pid") if backend == "parallel" else None
     ctx = RunContext(machine, pool=pool)
     token = _CURRENT.set(ctx)
     t0 = time.perf_counter()
@@ -367,7 +369,7 @@ def run(
         machine=machine,
         backend=backend,
         trace=trace,
-        environment=make_environment(backend, workers, env),
+        environment=environment,
         wall_time=wall if backend == "parallel" else None,
         peak_words=ctx.peak_words,
     )

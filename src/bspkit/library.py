@@ -1,5 +1,10 @@
 """Basic application library written in the scatter-gather sublanguage.
 
+The collectives over per-pid values (``tree_fold``, ``reduce``, ``scan`` and
+``broadcast``) live here, and the list operations below are built from one
+block pipeline: scatter one chunk per pid from pid 0, ``lmap``, gather at
+pid 0.
+
 Ten elementary list/array operations make up the expressiveness basis used by
 the check suite: map, reduce, scan, zip, filter, sort, histogram, dot-product,
 matrix-vector multiply, and broadcast.  Each entry carries its sequential
@@ -12,11 +17,14 @@ put-free implementation (see ``algorithms.sample_sort`` for the real thing).
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 from .bsml import nprocs
+from .errors import UsageError
 from .model import ParVec
 from .sgl import gather, lmap, scatter
 
@@ -42,75 +50,84 @@ def _concat(blocks) -> list:
     return out
 
 
-def par_map(f: Callable, xs: Sequence) -> list:
+# --- collectives over per-pid values ---------------------------------------------
+
+
+def tree_fold(op: Callable, values: Sequence):
+    """Fold in a fixed left-balanced binary tree order: ((a.b),(c.d))..."""
+    items = list(values)
+    if not items:
+        raise UsageError("tree_fold needs at least one value")
+    while len(items) > 1:
+        items = [op(items[i], items[i + 1]) if i + 1 < len(items) else items[i] for i in range(0, len(items), 2)]
+    return items[0]
+
+
+def reduce(op: Callable, pv: ParVec):
+    """Combine the p per-pid values in fixed tree order; one superstep."""
+    return tree_fold(op, gather(0, pv))
+
+
+def scan(op: Callable, pv: ParVec) -> ParVec:
+    """Inclusive prefix over pids: result[i] = fold of pv[0..i]; two supersteps."""
+    return scatter(0, accumulate(gather(0, pv), op))
+
+
+def broadcast(root: int, value) -> ParVec:
+    """All pids end up holding value; one superstep, on a flat machine h = (p-1) * size(value)."""
     p = nprocs()
-    pv = scatter(0, split_blocks(xs, p))
-    mapped = lmap(lambda blk: tuple(f(v) for v in blk), pv, work=lambda blk: len(blk))
-    return _concat(gather(0, mapped))
+    return scatter(root, [value] * p)
+
+
+# --- operations over lists -----------------------------------------------------------
+
+
+def _blockwise(f: Callable, chunks: Sequence, work: Callable = len) -> list:
+    """Scatter chunk i from pid 0 to pid i, apply f there, gather the results at pid 0; two supersteps."""
+    return gather(0, lmap(f, scatter(0, chunks), work=work))
+
+
+def _paired_blocks(xs: Sequence, ys: Sequence) -> list[tuple]:
+    """Per pid, its block of xs alongside its block of ys."""
+    p = nprocs()
+    return list(zip(split_blocks(xs, p), split_blocks(ys, p)))
+
+
+def par_map(f: Callable, xs: Sequence) -> list:
+    return _concat(_blockwise(lambda blk: tuple(f(v) for v in blk), split_blocks(xs, nprocs())))
 
 
 def par_reduce(op: Callable, xs: Sequence, zero):
-    """Left fold; op must be associative for the result to match."""
-    p = nprocs()
-    pv = scatter(0, split_blocks(xs, p))
+    """Fold of xs: each block folds from zero, the block results in ``reduce``'s tree order.
 
-    def fold(blk):
-        acc = zero
-        for v in blk:
-            acc = op(acc, v)
-        return acc
-
-    partials = gather(0, lmap(fold, pv, work=lambda blk: len(blk)))
-    acc = zero
-    for v in partials:
-        acc = op(acc, v)
-    return acc
+    op must be associative and zero its identity for the result to match.
+    """
+    return tree_fold(op, _blockwise(lambda blk: functools.reduce(op, blk, zero), split_blocks(xs, nprocs())))
 
 
 def par_scan(op: Callable, xs: Sequence, zero) -> list:
     """Inclusive prefix: result[i] = fold of xs[0..i]."""
-    p = nprocs()
-    pv = scatter(0, split_blocks(xs, p))
 
     def local_prefix(blk):
-        out = []
-        acc = zero
-        for v in blk:
-            acc = op(acc, v)
-            out.append(acc)
-        return tuple(out), acc
+        prefix = tuple(accumulate(blk, op, initial=zero))
+        return prefix[1:], prefix[-1]
 
-    prefixed = lmap(local_prefix, pv, work=lambda blk: len(blk))
-    totals = [t for _pre, t in gather(0, prefixed)]
-    offsets = []
-    acc = zero
-    for t in totals:
-        offsets.append(acc)
-        acc = op(acc, t)
-    shifted = scatter(0, [(pre, off) for (pre, _t), off in zip(prefixed, offsets)])
-    final = lmap(lambda po: tuple(op(po[1], v) for v in po[0]), shifted, work=lambda po: len(po[0]))
-    return _concat(gather(0, final))
+    prefixed = _blockwise(local_prefix, split_blocks(xs, nprocs()))
+    offsets = accumulate((t for _pre, t in prefixed), op, initial=zero)
+    shifted = [(pre, off) for (pre, _t), off in zip(prefixed, offsets)]
+    return _concat(_blockwise(lambda po: tuple(op(po[1], v) for v in po[0]), shifted, work=lambda po: len(po[0])))
 
 
 def par_zip(xs: Sequence, ys: Sequence) -> list:
-    p = nprocs()
-    paired = [(bx, by) for bx, by in zip(split_blocks(xs, p), split_blocks(ys, p))]
-    pv = scatter(0, paired)
-    zipped = lmap(lambda t: tuple(zip(t[0], t[1])), pv, work=lambda t: len(t[0]))
-    return _concat(gather(0, zipped))
+    return _concat(_blockwise(lambda t: tuple(zip(t[0], t[1])), _paired_blocks(xs, ys), work=lambda t: len(t[0])))
 
 
 def par_filter(pred: Callable, xs: Sequence) -> list:
-    p = nprocs()
-    pv = scatter(0, split_blocks(xs, p))
-    kept = lmap(lambda blk: tuple(v for v in blk if pred(v)), pv, work=lambda blk: len(blk))
-    return _concat(gather(0, kept))
+    return _concat(_blockwise(lambda blk: tuple(v for v in blk if pred(v)), split_blocks(xs, nprocs())))
 
 
 def par_histogram(xs: Sequence, bins: int, lo, hi) -> list[int]:
     """Counts per bin over [lo, hi); out-of-range values are clamped."""
-    p = nprocs()
-    pv = scatter(0, split_blocks(xs, p))
     width = hi - lo
 
     def local_counts(blk):
@@ -120,35 +137,23 @@ def par_histogram(xs: Sequence, bins: int, lo, hi) -> list[int]:
             counts[min(max(b, 0), bins - 1)] += 1
         return tuple(counts)
 
-    partials = gather(0, lmap(local_counts, pv, work=lambda blk: len(blk)))
-    return [sum(col) for col in zip(*partials)]
+    return [sum(col) for col in zip(*_blockwise(local_counts, split_blocks(xs, nprocs())))]
 
 
 def par_dot(xs: Sequence, ys: Sequence):
-    p = nprocs()
-    paired = [(bx, by) for bx, by in zip(split_blocks(xs, p), split_blocks(ys, p))]
-    pv = scatter(0, paired)
-    partials = gather(0, lmap(lambda t: sum(a * b for a, b in zip(t[0], t[1])), pv, work=lambda t: len(t[0])))
-    return sum(partials)
+    return sum(_blockwise(lambda t: sum(a * b for a, b in zip(t[0], t[1])), _paired_blocks(xs, ys), work=lambda t: len(t[0])))
 
 
 def par_matvec(rows: Sequence[Sequence], vec: Sequence) -> list:
     """Row-blocked matrix-vector product; the vector rides along in each chunk."""
-    p = nprocs()
-    chunks = [(blk, tuple(vec)) for blk in split_blocks(rows, p)]
-    pv = scatter(0, chunks)
-    partial = lmap(
-        lambda t: tuple(sum(a * b for a, b in zip(row, t[1])) for row in t[0]),
-        pv,
-        work=lambda t: len(t[0]) * max(len(t[1]), 1),
+    chunks = [(blk, tuple(vec)) for blk in split_blocks(rows, nprocs())]
+    return _concat(
+        _blockwise(
+            lambda t: tuple(sum(a * b for a, b in zip(row, t[1])) for row in t[0]),
+            chunks,
+            work=lambda t: len(t[0]) * max(len(t[1]), 1),
+        )
     )
-    return _concat(gather(0, partial))
-
-
-def broadcast(root: int, value) -> ParVec:
-    """All pids end up holding value; one superstep, on a flat machine h = (p-1) * size(value)."""
-    p = nprocs()
-    return scatter(root, [value] * p)
 
 
 # --- the expressiveness basis ---------------------------------------------------
@@ -210,7 +215,7 @@ BASIC_API: tuple[BasicOp, ...] = (
     ),
     BasicOp(
         "zip",
-        lambda xs, ys: par_zip(xs, ys),
+        par_zip,
         lambda p, xs, ys: list(zip(xs, ys)),
         lambda rng, n: (_ints(rng, n), _ints(rng, n)),
     ),
@@ -235,13 +240,13 @@ BASIC_API: tuple[BasicOp, ...] = (
     ),
     BasicOp(
         "dot-product",
-        lambda xs, ys: par_dot(xs, ys),
+        par_dot,
         lambda p, xs, ys: sum(a * b for a, b in zip(xs, ys)),
         lambda rng, n: (_ints(rng, n), _ints(rng, n)),
     ),
     BasicOp(
         "matrix-vector",
-        lambda rows, vec: par_matvec(rows, vec),
+        par_matvec,
         lambda p, rows, vec: [sum(a * b for a, b in zip(row, vec)) for row in rows],
         lambda rng, n: ([_ints(rng, 5) for _ in range(n)], _ints(rng, 5)),
     ),

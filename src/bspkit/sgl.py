@@ -72,7 +72,7 @@ def lmap(f: Callable, pv: ParVec, *, work: Any = 1) -> ParVec:
     return bsml.apply(fv, pv, work=work)
 
 
-def run_nested(tree: Machine, program: Callable[[], Any], backend: str = "simulate", **kwargs) -> tuple[Any, CostTrace]:
+def run_nested(tree: Machine, program: Callable[[], Any], backend: str = "simulate") -> tuple[Any, CostTrace]:
     """Run an SGL-only program on a machine tree; returns (result, trace).
 
     A flat MachineConfig is accepted as a one-leaf tree.  Programs that invoke
@@ -83,7 +83,7 @@ def run_nested(tree: Machine, program: Callable[[], Any], backend: str = "simula
         current_context().sgl_only = True
         return program()
 
-    report = run(sgl_program, tree, backend=backend, **kwargs)
+    report = run(sgl_program, tree, backend=backend)
     return report.result, report.trace
 
 
@@ -95,12 +95,12 @@ def translate_to_bsml(program: Callable[[], Any]) -> Callable[[], Any]:
     Results and superstep counts are preserved.
     """
 
-    def bsml_program(*args, **kwargs):
+    def bsml_program():
         ctx = current_context()
         previous = ctx.sgl_via_put
         ctx.sgl_via_put = True
         try:
-            return program(*args, **kwargs)
+            return program()
         finally:
             ctx.sgl_via_put = previous
 

@@ -71,6 +71,11 @@ class TestRun:
         assert main(["run", "--algo", "empty", "--env", "cores_used=abc"]) == 2
         assert "cores_used must be an integer, got 'abc'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_cores_used_below_one_exit_2(self, capsys, value):
+        assert main(["run", "--algo", "empty", "--env", f"cores_used={value}"]) == 2
+        assert f"cores_used must be at least 1, got '{value}'" in capsys.readouterr().err
+
     def test_machine_tree_config(self, tmp_path):
         cfg = tmp_path / "tree.json"
         cfg.write_text(json.dumps({"children": [{"p": 2, "g": 1, "l": 10}, {"p": 2, "g": 1, "l": 10}], "g": 2, "l": 20}))
@@ -196,6 +201,30 @@ class TestCheck:
         )
         assert main(["check", "--suite", "exact-counts"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_raising_suite_fails_and_the_others_still_run(self, capsys, monkeypatch):
+        from bspkit import checks
+        from bspkit.errors import ProgramError
+
+        def broken():
+            raise ProgramError(2, 3, TypeError("boom"))
+
+        monkeypatch.setitem(checks.ALL_SUITES, "nested", broken)
+        assert main(["check", "--suite", "exact-counts", "--suite", "nested", "--suite", "recosting"]) == 1
+        lines = {line.split()[0]: line.split(None, 2)[1:] for line in capsys.readouterr().out.splitlines()}
+        assert lines["exact-counts"][0] == lines["recosting"][0] == "PASS"
+        assert lines["nested"][0] == "FAIL"
+        assert "ProgramError: program failed at pid 2, superstep 3: TypeError('boom')" in lines["nested"][1]
+
+    def test_suite_names_checked_before_any_suite_runs(self, monkeypatch):
+        from bspkit import checks
+        from bspkit.errors import UsageError
+
+        ran = []
+        monkeypatch.setitem(checks.ALL_SUITES, "exact-counts", lambda: ran.append("exact-counts"))
+        with pytest.raises(UsageError, match="unknown suite 'none'"):
+            checks.run_suites(["exact-counts", "none"])
+        assert ran == []
 
 
 class TestTranslate:

@@ -203,15 +203,24 @@ class TestEnvironmentAndReports:
         assert all(str(v).strip() for v in d.values())
 
     def test_overrides_land_in_report(self):
-        report = run(lambda: None, M4, env={"hardware": "bench rig 3", "cluster": "teaching-lab"})
+        report = run(lambda: None, M4, env={"hardware": "bench rig 3", "cluster": "teaching-lab", "cores_used": "3"})
         d = report.to_dict()["environment"]
         assert d["hardware"] == "bench rig 3"
         assert d["cluster"] == "teaching-lab"
+        assert d["cores_used"] == 3
 
     def test_report_json_serializable(self):
         report = run(build_program("broadcast", 4, seed=0), M4)
         text = json.dumps(report.to_dict(), sort_keys=True)
         assert "result_digest" in text
+
+    @pytest.mark.parametrize("backend", ["simulate", "parallel"])
+    @pytest.mark.parametrize("value", ["0", "-5", "abc"])
+    def test_bad_cores_used_rejected_before_the_program_runs(self, value, backend):
+        called = []
+        with pytest.raises(UsageError, match="cores_used must be"):
+            run(lambda: called.append(True), M4, backend=backend, env={"cores_used": value})
+        assert called == []
 
     def test_wall_time_only_on_parallel(self):
         assert run(lambda: None, M4).wall_time is None

@@ -10,6 +10,7 @@ from bspkit import Leaf, MachineConfig, Node, apply, gather, mkpar, nprocs, proj
 from bspkit.checks import sgl_pipeline
 from bspkit.engine import _canon, stable_digest
 from bspkit.errors import ProgramError, RoutingError
+from bspkit.library import BASIC_API, par_reduce
 from bspkit.model import CommMatrix, ParVec, default_sizing, h_relation, step_cost, total_p
 
 PARAMS = st.sampled_from((0.5, 1.0, 2.0))
@@ -257,6 +258,25 @@ def test_translation_keeps_outcome_and_flat_costs(machine, data):
         assert direct[1] == stable_digest(expected)
     if isinstance(machine, MachineConfig):
         assert translated_steps == direct_steps
+
+
+@given(machines, st.sampled_from([op for op in BASIC_API if op.run is not None]), st.integers(0, 24), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_basic_ops_match_their_oracles(machine, op, n, rng):
+    p = total_p(machine)
+    args = op.gen(rng, n)
+    want = op.oracle(p, *args)
+    program = lambda: op.run(*args)
+    assert run_nested(machine, program)[0] == want
+    if isinstance(machine, MachineConfig):
+        assert run(translate_to_bsml(program), machine).result == want
+
+
+@given(machines, st.lists(st.text("abc", min_size=1, max_size=2), max_size=24))
+@settings(max_examples=60, deadline=None)
+def test_par_reduce_keeps_the_order_of_an_op_that_does_not_commute(machine, xs):
+    result, _trace = run_nested(machine, lambda: par_reduce(lambda a, b: a + b, xs, ""))
+    assert result == "".join(xs)
 
 
 @given(flat_machines, st.data())

@@ -5,11 +5,14 @@
 Each DIR is a checkout's ``src``; each side runs in its own subprocess with
 only that directory on PYTHONPATH.  The matrix is every ``ALGORITHMS`` entry
 at n in {0, 5, 40}; the broadcast, reduce and scan programs through
-``translate_to_bsml``; random SGL programs through ``run``, ``run_nested``
-and ``translate_to_bsml``; put programs in each plan format; and programs
-whose element functions call a primitive or raise.  Every program runs on
-flat p in {1, 2, 3, 4, 7, 16}, on the 2x2 tree and on a 3-level tree, on
-both backends.  It also runs ``bspkit translate --program PROG --p P`` for
+``translate_to_bsml``; every ``BASIC_API`` operation that has a put-free
+implementation, on inputs of size n in {0, 5, 40}, and random SGL programs
+built by ``checks.sgl_pipeline`` (their roots drawn in 0..15 and taken
+modulo the machine's p), both through ``run``, ``run_nested`` and
+``translate_to_bsml``; put programs in each plan format; and programs whose
+element functions call a primitive or raise.  Every program runs on flat p
+in {1, 2, 3, 4, 7, 16}, on the 2x2 tree and on a 3-level tree, on both
+backends.  It also runs ``bspkit translate --program PROG --p P`` for
 each of the three programs at P in {1, 4, 7}, in process through
 ``bspkit.cli.main``, and records its exit status and the sha256 of its
 stdout.
@@ -44,10 +47,11 @@ BACKENDS = ("simulate", "parallel")
 
 
 def matrix():
-    """(name, runner) pairs; runner(machine, backend) returns a successful run's record."""
+    """(name, runner) pairs; runner(machine, backend) returns a successful run's record.
+
+    Each runner builds its program with make(p), p being the machine's width.
+    """
     from bspkit import (
-        gather,
-        lmap,
         mkpar,
         nprocs,
         proj,
@@ -58,7 +62,10 @@ def matrix():
         translate_to_bsml,
     )
     from bspkit.algorithms import ALGORITHMS, build_program
+    from bspkit.checks import sgl_pipeline
     from bspkit.engine import stable_digest
+    from bspkit.library import BASIC_API
+    from bspkit.model import total_p
 
     def steps_sha256(trace) -> str:
         rows = [(s.index, s.h, s.words, s.max_work, s.cost, s.work, s.comm.words) for s in trace.steps]
@@ -66,31 +73,30 @@ def matrix():
 
     def via_run(make):
         def runner(machine, backend):
-            report = run(make(), machine, backend=backend)
+            report = run(make(total_p(machine)), machine, backend=backend)
             return {"digest": report.result_digest, "peak_words": report.peak_words, "steps": steps_sha256(report.trace)}
 
         return runner
 
     def via_run_nested(make):
         def runner(machine, backend):
-            result, trace = run_nested(machine, make(), backend=backend)
+            result, trace = run_nested(machine, make(total_p(machine)), backend=backend)
             return {"digest": stable_digest(result), "steps": steps_sha256(trace)}
 
         return runner
 
     def sgl_program(rng: random.Random):
-        blocks = [tuple(rng.randint(-9, 9) for _ in range(rng.randint(0, 3))) for _ in range(16)]
-        rounds = [(rng.randrange(16), rng.randrange(16), rng.randint(0, 3)) for _ in range(rng.randint(1, 3))]
+        """make(p) for a random SGL pipeline: its input and its rounds of (scatter root, lmap work, gather root)."""
+        xs = [rng.randint(-9, 9) for _ in range(rng.randint(0, 40))]
+        rounds = [(rng.randrange(16), rng.randint(0, 3), rng.randrange(16)) for _ in range(rng.randint(1, 3))]
 
-        def program():
-            p = nprocs()
-            current = blocks[:p]
-            for src, dst, work in rounds:
-                pv = lmap(lambda blk: tuple(2 * v + 1 for v in blk), scatter(src % p, current), work=work)
-                current = gather(dst % p, pv)
-            return current
+        def make(p):
+            steps = []
+            for src, work, dst in rounds:
+                steps += [("scatter", src % p), ("lmap", lambda v: 2 * v + 1, work), ("gather", dst % p)]
+            return sgl_pipeline(xs, steps, p)[0]
 
-        return program
+        return make
 
     def put_program(form: str):
         def program():
@@ -128,23 +134,34 @@ def matrix():
 
         return program
 
+    def sgl_entries(name, make):
+        """The SGL program make(p) through run, run_nested and translate_to_bsml."""
+        return [
+            (f"{name}/run", via_run(make)),
+            (f"{name}/run_nested", via_run_nested(make)),
+            (f"{name}/translated", via_run(lambda p: translate_to_bsml(make(p)))),
+        ]
+
     entries = []
     for name in sorted(ALGORITHMS):
         for n in SIZES:
-            entries.append((f"algorithm/{name}/n={n}", via_run(lambda name=name, n=n: build_program(name, n, SEED))))
+            entries.append((f"algorithm/{name}/n={n}", via_run(lambda p, name=name, n=n: build_program(name, n, SEED))))
     for name in TRANSLATED:
         for n in SIZES:
-            entries.append((f"translated/{name}/n={n}", via_run(lambda name=name, n=n: translate_to_bsml(build_program(name, n, SEED)))))
+            entries.append((f"translated/{name}/n={n}", via_run(lambda p, name=name, n=n: translate_to_bsml(build_program(name, n, SEED)))))
+    for op in BASIC_API:
+        if op.run is None:
+            continue
+        for n in SIZES:
+            args = op.gen(random.Random(SEED), n)
+            entries += sgl_entries(f"basic/{op.name}/n={n}", lambda p, op=op, args=args: lambda: op.run(*args))
     rng = random.Random(SEED)
     for k in range(SGL_PROGRAMS):
-        program = sgl_program(rng)
-        entries.append((f"sgl/{k}/run", via_run(lambda program=program: program)))
-        entries.append((f"sgl/{k}/run_nested", via_run_nested(lambda program=program: program)))
-        entries.append((f"sgl/{k}/translated", via_run(lambda program=program: translate_to_bsml(program))))
+        entries += sgl_entries(f"sgl/{k}", sgl_program(rng))
     for form in ("sequence", "callable", "dict", "mixed"):
-        entries.append((f"put/{form}", via_run(lambda form=form: put_program(form))))
+        entries.append((f"put/{form}", via_run(lambda p, form=form: put_program(form))))
     for name, action in nested.items():
-        entries.append((f"nested/{name}", via_run(lambda action=action: nested_program(action))))
+        entries.append((f"nested/{name}", via_run(lambda p, action=action: nested_program(action))))
     return entries
 
 
