@@ -322,18 +322,17 @@ class DistHash:
     """Distributed hash table: pair (k, v) lives at pid hash(k) mod p."""
 
     table: ParVec  # of dict
-    seed: int
 
 
-def hash_build(pairs: Iterable[tuple], *, seed: int = DEFAULT_HASH_SEED) -> DistHash:
+def hash_build(pairs: Iterable[tuple]) -> DistHash:
     """Bucket pairs by key hash and distribute from the root; one superstep."""
     p = nprocs()
     buckets: list[list] = [[] for _ in range(p)]
     for k, v in pairs:
-        buckets[key_owner(k, seed, p)].append((k, v))
+        buckets[key_owner(k, DEFAULT_HASH_SEED, p)].append((k, v))
     pv = scatter(0, [tuple(b) for b in buckets])
     table = lmap(dict, pv, work=_block_work)
-    return DistHash(table=table, seed=seed)
+    return DistHash(table=table)
 
 
 def hash_lookup(table: DistHash, queries: DistArray) -> DistArray:
@@ -344,13 +343,12 @@ def hash_lookup(table: DistHash, queries: DistArray) -> DistArray:
     ABSENT.
     """
     p = nprocs()
-    seed = table.seed
     block_sizes = queries.sizes()
 
     def route(i, qblk):
         per_owner: dict[int, list] = {}
         for j, k in enumerate(qblk):
-            per_owner.setdefault(key_owner(k, seed, p), []).append((j, k))
+            per_owner.setdefault(key_owner(k, DEFAULT_HASH_SEED, p), []).append((j, k))
         return {d: tuple(v) for d, v in per_owner.items()}
 
     question_plans = _papply(route, queries.blocks, work=_block_work)

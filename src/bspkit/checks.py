@@ -56,9 +56,10 @@ def closed_form_counts(name: str, p: int, n: int) -> tuple[int, int]:
     raise UsageError(f"no closed form for {name!r}")
 
 
-def suite_exact_counts(p_range: Sequence[int] = range(1, 9), n_list: Sequence[int] = (1, 10, 100)) -> CheckResult:
-    """Simulator traces match closed-form h and word counts exactly."""
+def suite_exact_counts() -> CheckResult:
+    """Simulator traces match closed-form h and word counts exactly, p in 1..8 and n in {1, 10, 100}."""
     failures = []
+    p_range, n_list = range(1, 9), (1, 10, 100)
     for name in ("broadcast", "total-exchange", "ring-shift"):
         for p in p_range:
             for n in n_list:
@@ -72,7 +73,7 @@ def suite_exact_counts(p_range: Sequence[int] = range(1, 9), n_list: Sequence[in
                         f"{name} p={p} n={n}: (h, words) = ({trace.steps[0].h}, {trace.total_words}) "
                         f"!= ({h_want}, {words_want})"
                     )
-    return _result("exact-counts", failures, f"{3 * len(list(p_range)) * len(n_list)} cases, all exact")
+    return _result("exact-counts", failures, f"{3 * len(p_range) * len(n_list)} cases, all exact")
 
 
 # --- the put transpose law -----------------------------------------------------------

@@ -32,6 +32,7 @@ from .model import (
     CostTrace,
     Inbox,
     Machine,
+    ParVec,
     SuperstepRecord,
     as_tree,
     default_sizing,
@@ -237,7 +238,7 @@ def _canon(value: Any) -> str:
                 check_depth *= 2
     except BspError:
         raise
-    except Exception as exc:  # a user type's repr, fields or elems
+    except Exception as exc:  # a user type's repr, fields or iteration
         raise BspError(f"cannot digest a value of type {type(child).__name__}: {exc!r}") from exc
 
 
@@ -259,14 +260,10 @@ def _canon_frame(value: Any) -> tuple | None:
     if is_dataclass(value) and not isinstance(value, type):
         names = [f.name for f in dc_fields(value)]
         return (getattr(value, n) for n in names), lambda texts: f"{name}(" + ",".join(map("{}={}".format, names, texts)) + ")"
-    if isinstance(value, (list, tuple, set, frozenset)):
-        elems = value
-    elif hasattr(value, "elems"):  # ParVec
-        elems = value.elems
-    else:
+    if not isinstance(value, (list, tuple, set, frozenset, ParVec)):
         return None
     unordered = isinstance(value, (set, frozenset))
-    return iter(elems), lambda texts: f"{name}[" + ",".join(sorted(texts) if unordered else texts) + "]"
+    return iter(value), lambda texts: f"{name}[" + ",".join(sorted(texts) if unordered else texts) + "]"
 
 
 _ADDRESS = re.compile(r" at 0x[0-9A-Fa-f]+")

@@ -1,11 +1,15 @@
 """Benchmark sweeps over (processors x data size) and polynomial model fitting.
 
-A sweep runs one algorithm over a grid of (p, n) cells and records one value
-per metric per cell: exact model cost (and optionally peak words) on the
-simulate backend, median wall-clock seconds on the parallel backend.  A model
-is a list of named basis terms over (p, n) fitted by linear least squares;
-``surface`` reshapes a grid into a plot-ready matrix with a header row of n
-values and a leading column of p values.
+A sweep runs one algorithm over a grid of (p, n) cells.  Each cell is a
+``run``: once on the simulate backend, ``repetitions`` times on the parallel
+backend.  It records one value per metric per cell: the exact model cost,
+peak words per pid (simulate only) or the median wall-clock seconds
+(parallel only).  Each row names the environment record of its own runs, so
+a parallel sweep carries one record per distinct ``cores_used``.  ``fit``,
+``crossval`` and ``surface`` read one metric, by default the grid's first.
+A model is a list of named basis terms over (p, n) fitted by linear least
+squares; ``surface`` reshapes a grid into a plot-ready matrix with a header
+row of n values and a leading column of p values.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algorithms import build_program
-from .engine import make_environment, run, stable_digest
+from .engine import run, stable_digest
 from .errors import UsageError
 from .model import DEFAULT_G, DEFAULT_L, DEFAULT_R, MachineConfig
 
@@ -109,12 +113,11 @@ class SweepGrid:
     def select(self, metric: str) -> list[GridRow]:
         return [r for r in self.rows if r.metric == metric]
 
-    def metrics(self) -> list[str]:
-        seen: list[str] = []
-        for r in self.rows:
-            if r.metric not in seen:
-                seen.append(r.metric)
-        return seen
+
+def _metric_rows(grid: SweepGrid, metric: str | None) -> tuple[str, list[GridRow]]:
+    """The metric to read, by default the grid's first, and its rows."""
+    metric = metric or (grid.rows[0].metric if grid.rows else "cost")
+    return metric, grid.select(metric)
 
 
 def sweep(
@@ -135,7 +138,9 @@ def sweep(
     """One row per (p, n) cell per metric.
 
     simulate cells are exact and ignore ``repetitions`` (noted in the
-    environment record); parallel cells report the median wall time.
+    environment record); parallel cells report the median wall time.  A
+    row's ``env_id`` is the digest of its runs' environment record without
+    the timestamp; the grid holds each distinct record once.
     """
     if not p_list or not n_list:
         raise UsageError("p_list and n_list must be non-empty")
@@ -154,30 +159,25 @@ def sweep(
     overrides = dict(env or {})
     if backend == "simulate" and repetitions > 1:
         overrides.setdefault("repetitions", f"{repetitions} requested, ignored (simulate is exact)")
-    environment = make_environment(backend, 1, overrides)
-    env_dict = environment.to_dict()
-    env_id = stable_digest({k: v for k, v in env_dict.items() if k != "timestamp"})[:12]
+    runs = repetitions if backend == "parallel" else 1
 
     rows: list[GridRow] = []
+    environments: dict[str, dict] = {}
     for p in p_list:
         machine = MachineConfig(p=int(p), g=g, l=l, r=r)
         for n in n_list:
             program = build_program(algorithm, int(n), seed, distribution)
-            if backend == "simulate":
-                report = run(program, machine, backend="simulate")
-                for m in metrics:
-                    value = report.trace.total_cost if m == "cost" else float(report.peak_words)
-                    rows.append(GridRow(p=int(p), n=int(n), metric=m, value=float(value), env_id=env_id))
-            else:
-                times = []
-                report = None
-                for _ in range(repetitions):
-                    report = run(program, machine, backend="parallel", env=env)
-                    times.append(report.wall_time)
-                for m in metrics:
-                    value = statistics.median(times) if m == "time" else report.trace.total_cost
-                    rows.append(GridRow(p=int(p), n=int(n), metric=m, value=float(value), env_id=env_id))
-    return SweepGrid(rows=tuple(rows), environments=((env_id, env_dict),))
+            reports = [run(program, machine, backend=backend, env=overrides) for _ in range(runs)]
+            env_dict = reports[0].environment.to_dict()
+            env_id = stable_digest({k: v for k, v in env_dict.items() if k != "timestamp"})[:12]
+            environments.setdefault(env_id, env_dict)
+            for m in metrics:
+                if m == "time":
+                    value = statistics.median(report.wall_time for report in reports)
+                else:
+                    value = reports[0].trace.total_cost if m == "cost" else reports[0].peak_words
+                rows.append(GridRow(p=int(p), n=int(n), metric=m, value=float(value), env_id=env_id))
+    return SweepGrid(rows=tuple(rows), environments=tuple(environments.items()))
 
 
 # --- models -----------------------------------------------------------------------
@@ -198,8 +198,11 @@ class PerfModel:
     coefficients: tuple[float, ...]
     residuals: ResidualStats
     metric: str = "cost"
-    rank_deficient: bool = False
     deficient_terms: tuple[str, ...] = ()
+
+    @property
+    def rank_deficient(self) -> bool:
+        return bool(self.deficient_terms)
 
 
 def _design_matrix(rows: Sequence[GridRow], terms: Sequence[BasisTerm]) -> tuple[np.ndarray, np.ndarray]:
@@ -233,8 +236,7 @@ def fit(grid: SweepGrid, basis: str | Sequence[str] = DEFAULT_BASIS, metric: str
     basis subset that is linearly dependent on the rest.
     """
     terms = parse_basis(basis)
-    metric = metric or (grid.metrics()[0] if grid.rows else "cost")
-    rows = grid.select(metric)
+    metric, rows = _metric_rows(grid, metric)
     if len(rows) < len(terms):
         raise UsageError(f"{len(rows)} rows for metric {metric!r} cannot fit {len(terms)} basis terms")
     a, y = _design_matrix(rows, terms)
@@ -250,7 +252,6 @@ def fit(grid: SweepGrid, basis: str | Sequence[str] = DEFAULT_BASIS, metric: str
         coefficients=tuple(float(c) for c in coef),
         residuals=_residual_stats(y, a @ coef),
         metric=metric,
-        rank_deficient=bool(rank < len(terms)),
         deficient_terms=deficient,
     )
 
@@ -265,8 +266,7 @@ def crossval(grid: SweepGrid, basis: str | Sequence[str], k: int, metric: str | 
     if k < 2:
         raise UsageError("crossval needs k >= 2")
     terms = parse_basis(basis)
-    metric = metric or (grid.metrics()[0] if grid.rows else "cost")
-    rows = grid.select(metric)
+    metric, rows = _metric_rows(grid, metric)
     if len(rows) < k:
         raise UsageError(f"{len(rows)} rows cannot be split into {k} folds")
     a, y = _design_matrix(rows, terms)
@@ -285,12 +285,15 @@ def crossval(grid: SweepGrid, basis: str | Sequence[str], k: int, metric: str | 
 class Surface:
     """Plot-ready matrix (or curve, when one axis has a single value)."""
 
-    kind: str  # "surface" | "curve"
     metric: str
     p_values: tuple[int, ...]
     n_values: tuple[int, ...]
     values: tuple[tuple[float | None, ...], ...]  # rows indexed by p, columns by n
     interpolated: tuple[tuple[bool, ...], ...]
+
+    @property
+    def kind(self) -> str:
+        return "surface" if len(self.p_values) >= 2 and len(self.n_values) >= 2 else "curve"
 
 
 def surface(grid: SweepGrid, metric: str | None = None) -> Surface:
@@ -299,8 +302,7 @@ def surface(grid: SweepGrid, metric: str | None = None) -> Surface:
     Cells with no measurement and no four-neighbour support stay empty (NA);
     with fewer than 2 distinct p or n values the result degrades to a curve.
     """
-    metric = metric or (grid.metrics()[0] if grid.rows else "cost")
-    rows = grid.select(metric)
+    metric, rows = _metric_rows(grid, metric)
     if not rows:
         raise UsageError(f"no rows for metric {metric!r}")
     cells = {(r.p, r.n): r.value for r in rows}
@@ -308,18 +310,15 @@ def surface(grid: SweepGrid, metric: str | None = None) -> Surface:
     ns = tuple(sorted({r.n for r in rows}))
     values = [[cells.get((p, n)) for n in ns] for p in ps]
     flags = [[False] * len(ns) for _ in ps]
-    kind = "surface" if len(ps) >= 2 and len(ns) >= 2 else "curve"
-    if kind == "surface":
-        for i, p in enumerate(ps):
-            for j, n in enumerate(ns):
-                if values[i][j] is not None:
-                    continue
-                filled = _bilinear(values, ps, ns, i, j)
-                if filled is not None:
-                    values[i][j] = filled
-                    flags[i][j] = True
+    for i, p in enumerate(ps):  # a curve has no holes: each of its p (or n) values came with a row
+        for j, n in enumerate(ns):
+            if values[i][j] is not None:
+                continue
+            filled = _bilinear(values, ps, ns, i, j)
+            if filled is not None:
+                values[i][j] = filled
+                flags[i][j] = True
     return Surface(
-        kind=kind,
         metric=metric,
         p_values=ps,
         n_values=ns,
@@ -376,7 +375,6 @@ def grid_from_csv(text: str) -> SweepGrid:
     environments: list[tuple[str, dict]] = []
     header_seen = False
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.rstrip("\n")
         if not line.strip():
             continue
         if line.startswith("#"):
@@ -435,28 +433,22 @@ def model_from_json(text: str) -> PerfModel:
                 r2=float(obj["residuals"]["r2"]),
             ),
             metric=obj.get("metric", "cost"),
-            rank_deficient=bool(obj.get("rank_deficient", False)),
             deficient_terms=tuple(obj.get("deficient_terms", ())),
         )
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:  # json.JSONDecodeError is a ValueError
         raise UsageError(f"malformed model JSON: {exc}") from exc
 
 
 def surface_to_csv(surf: Surface) -> str:
     lines: list[str] = []
     if surf.kind == "curve":
-        if len(surf.p_values) == 1:
-            lines.append(f"# curve metric={surf.metric} p={surf.p_values[0]}")
-            lines.append("n,value")
-            for j, n in enumerate(surf.n_values):
-                v = surf.values[0][j]
-                lines.append(f"{n},{'NA' if v is None else repr(float(v))}")
-        else:
-            lines.append(f"# curve metric={surf.metric} n={surf.n_values[0]}")
-            lines.append("p,value")
-            for i, p in enumerate(surf.p_values):
-                v = surf.values[i][0]
-                lines.append(f"{p},{'NA' if v is None else repr(float(v))}")
+        # a single row (fixed p) or a single column (fixed n): its cells in order
+        axes = [("p", surf.p_values), ("n", surf.n_values)]
+        (fixed, at), (axis, keys) = axes if len(surf.p_values) == 1 else axes[::-1]
+        lines.append(f"# curve metric={surf.metric} {fixed}={at[0]}")
+        lines.append(f"{axis},value")
+        for key, v in zip(keys, (v for row in surf.values for v in row)):
+            lines.append(f"{key},{'NA' if v is None else repr(float(v))}")
         return "\n".join(lines) + "\n"
     lines.append(f"# surface metric={surf.metric}")
     lines.append("," + ",".join(str(n) for n in surf.n_values))
@@ -470,56 +462,48 @@ def surface_to_csv(surf: Surface) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _reshape(cells: Sequence, rows: int, width: int) -> tuple[tuple, ...]:
+    """A row-major sequence of cells as ``rows`` rows of ``width`` cells."""
+    return tuple(tuple(cells[i * width : (i + 1) * width]) for i in range(rows))
+
+
 def surface_from_csv(text: str) -> Surface:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("#"):
         raise UsageError("malformed surface CSV: missing kind header")
-    head = lines[0][1:].strip().split()
-    fields = dict(part.split("=", 1) for part in head[1:])
-    metric = fields.get("metric", "cost")
-    if head[0] == "curve":
-        axis = "p" if "p" in fields else "n"
-        fixed = int(fields["p" if axis == "p" else "n"])
-        pts: list[tuple[int, float | None]] = []
-        for ln in lines[2:]:
-            key, val = ln.split(",", 1)
-            pts.append((int(key), None if val == "NA" else float(val)))
-        if axis == "p":
-            return Surface(
-                kind="curve",
-                metric=metric,
-                p_values=(fixed,),
-                n_values=tuple(k for k, _ in pts),
-                values=(tuple(v for _, v in pts),),
-                interpolated=(tuple(False for _ in pts),),
-            )
-        return Surface(
-            kind="curve",
-            metric=metric,
-            p_values=tuple(k for k, _ in pts),
-            n_values=(fixed,),
-            values=tuple((v,) for _, v in pts),
-            interpolated=tuple((False,) for _ in pts),
-        )
-    if head[0] != "surface":
-        raise UsageError(f"malformed surface CSV: unknown kind {head[0]!r}")
-    split = lines.index("# interpolated")
-    n_values = tuple(int(x) for x in lines[1].split(",")[1:])
-    p_values: list[int] = []
-    values: list[tuple[float | None, ...]] = []
-    for ln in lines[2:split]:
-        parts = ln.split(",")
-        p_values.append(int(parts[0]))
-        values.append(tuple(None if c == "NA" else float(c) for c in parts[1:]))
-    flags: list[tuple[bool, ...]] = []
-    for ln in lines[split + 2 :]:
-        parts = ln.split(",")
-        flags.append(tuple(c == "1" for c in parts[1:]))
-    return Surface(
-        kind="surface",
-        metric=metric,
-        p_values=tuple(p_values),
-        n_values=n_values,
-        values=tuple(values),
-        interpolated=tuple(flags),
-    )
+    try:
+        kind, *head = lines[0][1:].split() or [""]
+        fields = dict(part.split("=", 1) for part in head)
+        metric = fields.get("metric", "cost")
+        if kind == "curve":
+            axis = next((a for a in ("p", "n") if a in fields), None)
+            if axis is None:
+                raise ValueError("a curve header needs p= or n=")
+            pts = [ln.split(",", 1) for ln in lines[2:]]
+            fixed, keys = (int(fields[axis]),), tuple(int(key) for key, _ in pts)
+            ps, ns = (fixed, keys) if axis == "p" else (keys, fixed)
+            cells = [None if val == "NA" else float(val) for _, val in pts]
+            surf = Surface(metric, ps, ns, _reshape(cells, len(ps), len(ns)), _reshape([False] * len(cells), len(ps), len(ns)))
+        elif kind == "surface":
+            if "# interpolated" not in lines:
+                raise ValueError("missing '# interpolated' block")
+            split = lines.index("# interpolated")
+            n_values = tuple(int(x) for x in lines[1].split(",")[1:])
+            p_values: list[int] = []
+            values: list[tuple[float | None, ...]] = []
+            for ln in lines[2:split]:
+                parts = ln.split(",")
+                p_values.append(int(parts[0]))
+                values.append(tuple(None if c == "NA" else float(c) for c in parts[1:]))
+            flags: list[tuple[bool, ...]] = []
+            for ln in lines[split + 2 :]:
+                parts = ln.split(",")
+                flags.append(tuple(c == "1" for c in parts[1:]))
+            surf = Surface(metric, tuple(p_values), n_values, tuple(values), tuple(flags))
+        else:
+            raise ValueError(f"unknown kind {kind!r}")
+        if surf.kind != kind:
+            raise ValueError(f"{len(surf.p_values)} p by {len(surf.n_values)} n values is not a {kind}")
+    except ValueError as exc:
+        raise UsageError(f"malformed surface CSV: {exc}") from exc
+    return surf

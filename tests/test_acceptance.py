@@ -31,7 +31,7 @@ def test_criterion_1_exact_count_reproduction():
     # broadcast, total exchange, ring shift; p in 1..8, n in {1, 10, 100};
     # h and word counts match closed forms exactly (tolerance 0); runtime < 1 s
     t0 = time.perf_counter()
-    result = suite_exact_counts(p_range=range(1, 9), n_list=(1, 10, 100))
+    result = suite_exact_counts()
     elapsed = time.perf_counter() - t0
     ok = result.passed and elapsed < 1.0
     _criterion(1, "exact-count reproduction", ok, f"{result.detail}; {elapsed:.2f}s")

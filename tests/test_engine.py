@@ -330,6 +330,24 @@ class TestStableDigest:
         with pytest.raises(BspError):
             report.to_dict()
 
+    def test_only_a_parvec_digests_as_its_elements(self):
+        class Bag:
+            def __init__(self, elems, tag):
+                self.elems, self.tag = elems, tag
+
+            def __repr__(self):
+                return f"Bag({self.elems!r}, {self.tag!r})"
+
+        class Count:
+            elems = 3
+
+            def __repr__(self):
+                return "Count()"
+
+        assert stable_digest(Bag([1, 2], "a")) != stable_digest(Bag([1, 2], "b"))
+        assert stable_digest(Count()) == hashlib.sha256(b"Count()").hexdigest()
+        assert stable_digest(ParVec([1, 2])) == hashlib.sha256(b"ParVec[1,2]").hexdigest()
+
     def test_value_with_its_own_repr_and_address_like_text_still_digest(self):
         class Named:
             def __repr__(self):

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bspkit.algorithms import build_program
+from bspkit.engine import run
 from bspkit.errors import UsageError
+from bspkit.model import MachineConfig
 from bspkit.perfmodel import (
     DEFAULT_BASIS,
     GridRow,
@@ -153,6 +157,17 @@ class TestPredictCrossval:
         held = crossval(grid, ("1", "n"), k=5)
         assert held.rms >= fitted.residuals.rms
 
+    def test_readers_default_to_the_grids_first_metric(self):
+        memory = synth_grid(lambda p, n: 2 * n, POINTS, metric="memory")
+        cost = synth_grid(lambda p, n: p + n, POINTS)
+        grid = SweepGrid(rows=memory.rows + cost.rows)
+        assert fit(grid, ("1", "n")).metric == "memory"
+        assert fit(grid, ("1", "n")) == fit(grid, ("1", "n"), metric="memory")
+        assert crossval(grid, ("1", "n", "p"), k=3) == crossval(grid, ("1", "n", "p"), k=3, metric="memory")
+        assert crossval(grid, ("1", "n", "p"), k=3) != crossval(grid, ("1", "n", "p"), k=3, metric="cost")
+        assert surface(grid) == surface(grid, metric="memory")
+        assert surface(grid).values[0] == (20.0, 200.0, 2000.0)
+
     def test_crossval_k_validation(self):
         grid = synth_grid(lambda p, n: n, POINTS)
         with pytest.raises(UsageError):
@@ -231,6 +246,15 @@ class TestSweep:
         a, b = median_of(0), median_of(0)
         assert max(a, b) / min(a, b) < 10.0
 
+    def test_parallel_rows_carry_the_environment_of_their_runs(self):
+        grid = sweep("broadcast", p_list=(1, 4), n_list=(1,), backend="parallel")
+        environments = dict(grid.environments)
+        assert len(environments) == len(grid.environments) == len({row.env_id for row in grid.rows})
+        for row in grid.rows:
+            expected = run(build_program("broadcast", row.n, 0), MachineConfig(p=row.p), backend="parallel").environment
+            recorded = environments[row.env_id]
+            assert (recorded["cores_used"], recorded["threads"]) == (expected.cores_used, expected.threads)
+
     def test_time_metric_needs_parallel(self):
         with pytest.raises(UsageError):
             sweep("reduce", p_list=(2,), n_list=(10,), metrics=("time",))
@@ -264,6 +288,12 @@ class TestFormats:
         text = model_to_json(model)
         assert model_to_json(model_from_json(text)) == text
 
+    def test_rank_deficient_model_json_round_trip(self):
+        model = fit(synth_grid(lambda p, n: 4 * n, POINTS), ("n", "2*n"))
+        text = model_to_json(model)
+        assert json.loads(text)["rank_deficient"] is True
+        assert model_from_json(text) == model and model_from_json(text).rank_deficient
+
     def test_surface_csv_round_trip(self):
         pts = [(p, n) for p in (1, 2, 3) for n in (1, 2, 3) if not (p == 2 and n == 2)]
         s = surface(synth_grid(lambda p, n: float(p * n), pts))
@@ -275,3 +305,32 @@ class TestFormats:
         text = surface_to_csv(s)
         assert surface_to_csv(surface_from_csv(text)) == text
         assert text.splitlines()[1] == "n,value"
+
+    def test_fixed_n_curve_csv_round_trip(self):
+        s = surface(synth_grid(lambda p, n: float(p), [(1, 8), (2, 8), (4, 8)]))
+        text = surface_to_csv(s)
+        assert text.splitlines()[:2] == ["# curve metric=cost n=8", "p,value"]
+        assert surface_from_csv(text) == s
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# surface metric=cost\n,1,2\n1,1.0,2.0\n2,3.0,4.0\n",  # no interpolated block
+            "# curve metric=cost\nn,value\n1,2.0\n",  # neither p= nor n=
+            "# curve metric=cost p=4\nn,value\n1,abc\n",
+            "# curve metric=cost p=x\nn,value\n1,2.0\n",
+            "# surface metric=cost\n,1,2\n1,1.0,oops\n2,3.0,4.0\n# interpolated\n,1,2\n1,0,0\n2,0,0\n",
+            "# surface metric=cost\n,1,2\n1,1.0,2.0\n# interpolated\n,1,2\n1,0,0\n",  # one p is a curve
+            "# surface metric\n",
+            "#\n",
+        ],
+    )
+    def test_malformed_surface_csv_is_a_usage_error(self, text):
+        with pytest.raises(UsageError, match="malformed surface CSV"):
+            surface_from_csv(text)
+
+    def test_non_numeric_model_coefficient_is_a_usage_error(self):
+        obj = json.loads(model_to_json(fit(synth_grid(lambda p, n: 2 + 3 * n, POINTS), ("1", "n"))))
+        obj["coefficients"][1] = "three"
+        with pytest.raises(UsageError, match="malformed model JSON"):
+            model_from_json(json.dumps(obj))

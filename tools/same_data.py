@@ -13,9 +13,14 @@ modulo the machine's p), both through ``run``, ``run_nested`` and
 element functions call a primitive or raise.  Every program runs on flat p
 in {1, 2, 3, 4, 7, 16}, on the 2x2 tree and on a 3-level tree, on both
 backends.  It also runs ``bspkit translate --program PROG --p P`` for
-each of the three programs at P in {1, 4, 7}, in process through
-``bspkit.cli.main``, and records its exit status and the sha256 of its
-stdout.
+each of the three programs at P in {1, 4, 7}, and the measurement layer:
+``bspkit sweep`` on a full p x n grid and on a single-p grid with
+``--metrics memory,cost --reps 3``, ``bspkit fit`` on the full grid with
+``--crossval``, ``--residuals`` and ``--surface``, a rank-deficient ``fit``,
+and ``bspkit surface`` on the single-p grid (a curve).  Each command runs in
+process through ``bspkit.cli.main``; its record is its exit status and the
+sha256 of its stdout, its stderr and each file it wrote, with every
+``timestamp`` value masked.
 
 A record is, for a run that succeeds, its result digest, peak words per pid
 and a sha256 of the per-step ``(index, h, words, max_work, cost, work,
@@ -32,8 +37,10 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SEED = 1
@@ -43,6 +50,15 @@ SGL_PROGRAMS = 20
 FLAT_P = (1, 2, 3, 4, 7, 16)
 TRANSLATE_PROGRAMS = ("scatter", "gather", "pipeline")
 TRANSLATE_P = (1, 4, 7)
+#: (name, argv) of each measurement command, run in order in one directory; {dir} is that directory.
+MEASUREMENT_COMMANDS = (
+    ("sweep/grid", "sweep --algo total-exchange --p-list 1,2,4 --n-list 1,2,4 --out {dir}/grid.csv"),
+    ("sweep/single-p", "sweep --algo broadcast --p-list 4 --n-list 1,10,100 --metrics memory,cost --reps 3 --out {dir}/single.csv"),
+    ("fit/crossval", "fit --grid {dir}/grid.csv --crossval 4 --out {dir}/model.json --residuals {dir}/residuals.csv --surface {dir}/surface.csv"),
+    ("fit/rank-deficient", "fit --grid {dir}/grid.csv --basis n,2*n --out {dir}/deficient.json"),
+    ("surface/curve", "surface --grid {dir}/single.csv --out {dir}/curve.csv"),
+)
+TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 BACKENDS = ("simulate", "parallel")
 
 
@@ -204,7 +220,7 @@ def emit() -> None:
             for backend in BACKENDS:
                 key = f"{name} @ {machine_name} / {backend}"
                 print(json.dumps({"key": key, "record": record(runner, machine, backend)}, sort_keys=True))
-    for key, dump in translate_dumps():
+    for key, dump in [*translate_dumps(), *measurement_records()]:
         print(json.dumps({"key": key, "record": dump}, sort_keys=True))
 
 
@@ -219,6 +235,24 @@ def translate_dumps():
                 code = main(["translate", "--program", program, "--p", str(p)])
             digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
             yield f"cli/translate/{program} @ p={p}", {"exit": code, "sha256": digest}
+
+
+def measurement_records():
+    """(key, record) of each measurement command: exit status and sha256 of stdout, stderr and each file written."""
+    from bspkit.cli import main
+
+    def sha256(text: str) -> str:
+        return hashlib.sha256(TIMESTAMP.sub('"timestamp": "*"', text).encode("utf-8")).hexdigest()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        written: set[Path] = set()
+        for name, argv in MEASUREMENT_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([arg.format(dir=tmp) for arg in argv.split()])
+            files = {path.name: sha256(path.read_text(encoding="utf-8")) for path in sorted(Path(tmp).iterdir()) if path not in written}
+            written.update(Path(tmp).iterdir())
+            yield f"cli/{name}", {"exit": code, "stdout": sha256(out.getvalue()), "stderr": sha256(err.getvalue()), "files": files}
 
 
 def collect(src: str) -> dict[str, dict]:
