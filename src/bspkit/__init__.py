@@ -31,7 +31,6 @@ from .model import (
     SuperstepRecord,
     h_relation,
     superstep_cost,
-    trace_totals,
 )
 from .engine import RunReport, estimate_runtime, run
 from .bsml import apply, mkpar, nprocs, proj, put
@@ -56,7 +55,6 @@ __all__ = [
     "SuperstepRecord",
     "h_relation",
     "superstep_cost",
-    "trace_totals",
     "RunReport",
     "estimate_runtime",
     "run",

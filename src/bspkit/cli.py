@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .algorithms import ALGORITHMS, DISTRIBUTIONS, build_program
 from .checks import ALL_SUITES, run_suites, sgl_pipeline
-from .engine import run
+from .engine import BACKENDS, DEFAULT_WORKER_CAP, run
 from .errors import BspError, ProgramError, UsageError
 from .model import (
     DEFAULT_G,
@@ -203,8 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--n", type=int, default=16, help="input size")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--dist", default="uniform", choices=DISTRIBUTIONS)
-    p_run.add_argument("--backend", default="simulate", choices=("simulate", "parallel"))
-    p_run.add_argument("--worker-cap", type=int, default=64)
+    p_run.add_argument("--backend", default="simulate", choices=BACKENDS)
+    p_run.add_argument("--worker-cap", type=int, default=DEFAULT_WORKER_CAP)
     _add_machine_flags(p_run)
     p_run.add_argument("--out", help="report JSON path (stdout if omitted)")
     p_run.add_argument("--trace", help="also write the cost trace CSV here")
@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--algo", required=True)
     p_sweep.add_argument("--p-list", required=True, help="comma-separated processor counts")
     p_sweep.add_argument("--n-list", required=True, help="comma-separated input sizes")
-    p_sweep.add_argument("--backend", default="simulate", choices=("simulate", "parallel"))
+    p_sweep.add_argument("--backend", default="simulate", choices=BACKENDS)
     p_sweep.add_argument("--reps", type=int, default=1, help="repetitions (parallel backend)")
     p_sweep.add_argument("--metrics", help="comma-separated subset of cost,time,memory")
     p_sweep.add_argument("--seed", type=int, default=0)

@@ -39,7 +39,6 @@ from .model import (
     machine_to_dict,
     total_p,
     trace_to_dict,
-    trace_totals,
 )
 
 BACKENDS = ("simulate", "parallel")
@@ -87,7 +86,7 @@ class RunContext:
         return rec
 
     def partial_trace(self) -> CostTrace:
-        return trace_totals(self.steps)
+        return CostTrace(self.steps)
 
     def finish(self) -> CostTrace:
         """Close the run; trailing local work is flushed by the final barrier."""

@@ -14,6 +14,7 @@ import csv
 import io
 import operator
 from array import array
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence, Union
 
@@ -218,7 +219,7 @@ class CommMatrix:
         for row in rows:
             if len(row) != p:
                 raise DimensionError(f"communication matrix must be square, got row of length {len(row)} in a {p}-row matrix")
-        self._fill(p, ((s, d, int(w)) for s, row in enumerate(rows) for d, w in enumerate(row)))
+        self._fill(p, ((s, d, w) for s, row in enumerate(rows) for d, w in enumerate(row)))
 
     def _fill(self, p: int, sends: Iterable[tuple[int, int, int]]) -> None:
         """Validate the sends and store their sum: one pass, merged by key only if out of order."""
@@ -231,11 +232,11 @@ class CommMatrix:
         for s, d, w in sends:
             if not (0 <= s < p and 0 <= d < p):
                 raise RoutingError(f"send from pid {s!r} to pid {d!r} outside 0..{p - 1}")
-            if w <= 0:
-                if w < 0:
-                    raise DimensionError(f"negative word count {w} in communication matrix")
-                continue
             try:
+                if w <= 0:
+                    if w < 0:
+                        raise DimensionError(f"negative word count {w} in communication matrix")
+                    continue
                 add_val(w)
             except (TypeError, OverflowError):
                 raise DimensionError(f"word count {w!r} in communication matrix is not an integer below 2**63") from None
@@ -428,10 +429,6 @@ class SuperstepRecord:
             comm=comm,
         )
 
-    @classmethod
-    def from_summary(cls, index: int, max_work: int | None, h: int, words: int, cost: float) -> SuperstepRecord:
-        return cls(index=index, h=h, max_work=max_work, words=words, cost=cost)
-
     def recost(self, machine: Machine) -> float:
         """Recompute this step's cost for a (possibly different) machine.
 
@@ -447,55 +444,53 @@ class SuperstepRecord:
             raise UsageError("trace record lacks full work/comm data; cannot re-cost on a machine tree")
         return step_cost(self.work, self.comm, tree)
 
-    def p(self) -> int | None:
-        if self.work is not None:
-            return len(self.work)
-        if self.comm is not None:
-            return self.comm.p
-        return None
-
 
 @dataclass(frozen=True)
 class CostTrace:
-    """Per-superstep records plus their totals."""
+    """Per-superstep records, in order; the totals are derived from them."""
 
     steps: tuple[SuperstepRecord, ...]
-    total_cost: float
-    total_words: int
-    sync_count: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "steps", tuple(self.steps))
+        widths = {len(s.work) for s in self.steps if s.work is not None}
+        if len(widths) > 1:
+            raise DimensionError(f"records disagree on p: {sorted(widths)}")
 
-def trace_totals(steps: Iterable[SuperstepRecord]) -> CostTrace:
-    """Aggregate records into a CostTrace, preserving input order."""
-    steps = tuple(steps)
-    widths = {s.p() for s in steps if s.p() is not None}
-    if len(widths) > 1:
-        raise DimensionError(f"records disagree on p: {sorted(widths)}")
-    return CostTrace(
-        steps=steps,
-        total_cost=float(sum(s.cost for s in steps)),
-        total_words=sum(s.words for s in steps),
-        sync_count=len(steps),
-    )
+    @property
+    def total_cost(self) -> float:
+        return float(sum(s.cost for s in self.steps))
+
+    @property
+    def total_words(self) -> int:
+        return sum(s.words for s in self.steps)
+
+    @property
+    def sync_count(self) -> int:
+        return len(self.steps)
 
 
 # --- serialization ---------------------------------------------------------
 
-TRACE_CSV_HEADER = ["index", "max_work", "h", "words_total", "cost"]
+#: One summary column of a trace step: its CSV column and JSON key, its SuperstepRecord field, how a
+#: CSV cell is read and how the field's value is written to one (the csv module writes None as "").
+Column = namedtuple("Column", "name field parse write", defaults=(lambda value: value,))
+
+#: Every summary column of a trace step, in CSV order.
+STEP_COLUMNS = (
+    Column("index", "index", int),
+    Column("max_work", "max_work", lambda cell: None if cell == "" else int(cell)),
+    Column("h", "h", int),
+    Column("words_total", "words", int),
+    Column("cost", "cost", float, write=lambda cost: repr(float(cost))),
+)
+
+TRACE_CSV_HEADER = [c.name for c in STEP_COLUMNS]
 
 
 def trace_to_dict(trace: CostTrace) -> dict:
     return {
-        "steps": [
-            {
-                "index": s.index,
-                "max_work": s.max_work,
-                "h": s.h,
-                "words_total": s.words,
-                "cost": s.cost,
-            }
-            for s in trace.steps
-        ],
+        "steps": [{c.name: getattr(s, c.field) for c in STEP_COLUMNS} for s in trace.steps],
         "totals": {
             "total_cost": trace.total_cost,
             "total_words": trace.total_words,
@@ -509,7 +504,7 @@ def trace_to_csv(trace: CostTrace) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(TRACE_CSV_HEADER)
     for s in trace.steps:
-        writer.writerow([s.index, "" if s.max_work is None else s.max_work, s.h, s.words, repr(float(s.cost))])
+        writer.writerow([c.write(getattr(s, c.field)) for c in STEP_COLUMNS])
     return buf.getvalue()
 
 
@@ -523,15 +518,9 @@ def trace_from_csv(text: str) -> CostTrace:
         if not row:
             continue
         try:
-            records.append(
-                SuperstepRecord.from_summary(
-                    index=int(row[0]),
-                    max_work=None if row[1] == "" else int(row[1]),
-                    h=int(row[2]),
-                    words=int(row[3]),
-                    cost=float(row[4]),
-                )
-            )
-        except (ValueError, IndexError) as exc:
+            if len(row) != len(STEP_COLUMNS):
+                raise ValueError(f"expected {len(STEP_COLUMNS)} cells, got {len(row)}")
+            records.append(SuperstepRecord(**{c.field: c.parse(cell) for c, cell in zip(STEP_COLUMNS, row)}))
+        except ValueError as exc:
             raise UsageError(f"malformed trace CSV at line {lineno}: {exc}") from exc
-    return trace_totals(records)
+    return CostTrace(records)

@@ -18,7 +18,7 @@ import ast
 import json
 import statistics
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -372,6 +372,7 @@ def grid_to_csv(grid: SweepGrid) -> str:
 
 def grid_from_csv(text: str) -> SweepGrid:
     rows: list[GridRow] = []
+    row_lines: list[int] = []  # the line number of each row
     environments: list[tuple[str, dict]] = []
     header_seen = False
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -395,11 +396,18 @@ def grid_from_csv(text: str) -> SweepGrid:
         try:
             if len(parts) != 5:
                 raise ValueError(f"expected 5 columns, got {len(parts)}")
+            if parts[2] not in METRICS:
+                raise ValueError(f"unknown metric {parts[2]!r}; expected one of {METRICS}")
             rows.append(GridRow(p=int(parts[0]), n=int(parts[1]), metric=parts[2], value=float(parts[3]), env_id=parts[4]))
         except ValueError as exc:
             raise UsageError(f"malformed grid CSV at line {lineno}: {exc}") from exc
+        row_lines.append(lineno)
     if not header_seen:
         raise UsageError("malformed grid CSV at line 1: missing header")
+    known = {env_id for env_id, _env in environments}
+    for lineno, row in zip(row_lines, rows):
+        if row.env_id not in known:
+            raise UsageError(f"malformed grid CSV at line {lineno}: env_id {row.env_id!r} has no '# env:' line")
     return SweepGrid(rows=tuple(rows), environments=tuple(environments))
 
 
@@ -467,6 +475,15 @@ def _reshape(cells: Sequence, rows: int, width: int) -> tuple[tuple, ...]:
     return tuple(tuple(cells[i * width : (i + 1) * width]) for i in range(rows))
 
 
+def _block_rows(lines: Sequence[str], width: int) -> Iterator[tuple[str, list[str]]]:
+    """(key, cells) of each row of a surface block, every row holding one cell per n value."""
+    for ln in lines:
+        key, *cells = ln.split(",")
+        if len(cells) != width:
+            raise ValueError(f"row {ln!r} has {len(cells)} cells, the header has {width} n values")
+        yield key, cells
+
+
 def surface_from_csv(text: str) -> Surface:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("#"):
@@ -491,14 +508,10 @@ def surface_from_csv(text: str) -> Surface:
             n_values = tuple(int(x) for x in lines[1].split(",")[1:])
             p_values: list[int] = []
             values: list[tuple[float | None, ...]] = []
-            for ln in lines[2:split]:
-                parts = ln.split(",")
-                p_values.append(int(parts[0]))
-                values.append(tuple(None if c == "NA" else float(c) for c in parts[1:]))
-            flags: list[tuple[bool, ...]] = []
-            for ln in lines[split + 2 :]:
-                parts = ln.split(",")
-                flags.append(tuple(c == "1" for c in parts[1:]))
+            for key, cells in _block_rows(lines[2:split], len(n_values)):
+                p_values.append(int(key))
+                values.append(tuple(None if c == "NA" else float(c) for c in cells))
+            flags = [tuple(c == "1" for c in cells) for _, cells in _block_rows(lines[split + 2 :], len(n_values))]
             surf = Surface(metric, tuple(p_values), n_values, tuple(values), tuple(flags))
         else:
             raise ValueError(f"unknown kind {kind!r}")

@@ -56,8 +56,7 @@ def scatter(root: int, chunks: Sequence) -> ParVec:
 def gather(root: int, pv: ParVec) -> list:
     """Collect pv[0..p-1] at root, in pid order; one superstep."""
     ctx = current_context()
-    if not isinstance(pv, ParVec) or len(pv) != ctx.p:
-        raise DimensionError(f"gather needs a width-{ctx.p} ParVec")
+    bsml._check_width(ctx, pv, "gathered vector")
     _check_root(ctx, root)
     if ctx.sgl_via_put:
         return _put_gather(root, pv)

@@ -167,9 +167,9 @@ class TestEstimateRuntime:
         assert hi - lo == report.trace.sync_count * 1000.0
 
     def test_usage_error_without_work_counts(self):
-        from bspkit.model import SuperstepRecord, trace_totals
+        from bspkit.model import CostTrace, SuperstepRecord
 
-        trace = trace_totals([SuperstepRecord.from_summary(0, max_work=None, h=1, words=1, cost=11.0)])
+        trace = CostTrace([SuperstepRecord(index=0, max_work=None, h=1, words=1, cost=11.0)])
         with pytest.raises(UsageError):
             estimate_runtime(trace, M4)
 

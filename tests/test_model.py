@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bspkit.errors import DimensionError, RoutingError, UsageError
 from bspkit.model import (
+    TRACE_CSV_HEADER,
     CommMatrix,
+    CostTrace,
     Leaf,
     MachineConfig,
     Node,
@@ -23,7 +27,7 @@ from bspkit.model import (
     total_p,
     trace_from_csv,
     trace_to_csv,
-    trace_totals,
+    trace_to_dict,
 )
 
 
@@ -68,6 +72,13 @@ class TestHRelation:
     def test_non_int64_word_count_rejected(self, words):
         with pytest.raises(DimensionError):
             comm_of(2, [(0, 1, words)])
+
+    @pytest.mark.parametrize("words", [1.7, "3"])
+    def test_both_constructors_reject_a_non_integer_word_count(self, words):
+        with pytest.raises(DimensionError):
+            CommMatrix([[0, words], [0, 0]])
+        with pytest.raises(DimensionError):
+            CommMatrix.from_sends(2, [(0, 1, words)])
 
     @given(
         st.integers(1, 5).flatmap(
@@ -211,13 +222,13 @@ class TestNestedCost:
 
 class TestTraceTotals:
     def test_empty(self):
-        trace = trace_totals([])
+        trace = CostTrace([])
         assert (trace.total_cost, trace.total_words, trace.sync_count) == (0.0, 0, 0)
 
     def test_single_record_identity(self):
         m = MachineConfig(p=2, g=1.0, l=10.0)
         rec = SuperstepRecord.close(0, [5, 0], comm_of(2, [(0, 1, 12)]), m)
-        trace = trace_totals([rec])
+        trace = CostTrace([rec])
         assert trace.total_words == 12
         assert trace.sync_count == 1
         assert trace.total_cost == rec.cost
@@ -226,7 +237,7 @@ class TestTraceTotals:
         m = MachineConfig(p=2, g=1.0, l=10.0)
         r0 = SuperstepRecord.close(0, [5, 0], comm_of(2, [(0, 1, 3)]), m)
         r1 = SuperstepRecord.close(1, [0, 2], comm_of(2, [(1, 0, 4)]), m)
-        trace = trace_totals([r0, r1])
+        trace = CostTrace([r0, r1])
         # independent summation
         assert trace.total_cost == r0.cost + r1.cost
         assert trace.total_words == 3 + 4
@@ -238,7 +249,23 @@ class TestTraceTotals:
         r0 = SuperstepRecord.close(0, [0, 0], CommMatrix.zeros(2), m2)
         r1 = SuperstepRecord.close(1, [0, 0, 0], CommMatrix.zeros(3), m3)
         with pytest.raises(DimensionError):
-            trace_totals([r0, r1])
+            CostTrace([r0, r1])
+
+    def test_totals_are_derived_from_the_steps(self):
+        m = MachineConfig(p=2, g=1.0, l=10.0)
+        recs = [SuperstepRecord.close(i, [i, 1], comm_of(2, [(0, 1, i + 1)]), m) for i in range(3)]
+        trace = CostTrace(iter(recs))
+        assert [f.name for f in dataclasses.fields(CostTrace)] == ["steps"]
+        assert trace.steps == tuple(recs)
+        assert (trace.total_cost, trace.total_words, trace.sync_count) == (float(sum(r.cost for r in recs)), 6, 3)
+        with pytest.raises(AttributeError):
+            trace.total_cost = 0.0
+
+    def test_records_without_work_do_not_constrain_p(self):
+        m2 = MachineConfig(p=2, g=1.0, l=10.0)
+        summary = SuperstepRecord(index=1, max_work=None, h=0, words=0, cost=10.0)
+        trace = CostTrace([SuperstepRecord.close(0, [0, 0], CommMatrix.zeros(2), m2), summary])
+        assert trace.sync_count == 2
 
     def test_recost_reproduces_stored_cost(self):
         m = MachineConfig(p=2, g=3.0, l=7.0, r=2.0)
@@ -246,7 +273,7 @@ class TestTraceTotals:
         assert rec.recost(m) == rec.cost
 
     def test_recost_without_work_counts(self):
-        rec = SuperstepRecord.from_summary(0, max_work=None, h=3, words=3, cost=13.0)
+        rec = SuperstepRecord(index=0, max_work=None, h=3, words=3, cost=13.0)
         with pytest.raises(UsageError):
             rec.recost(MachineConfig(p=4, g=1.0, l=10.0))
 
@@ -258,12 +285,29 @@ class TestSerialization:
             SuperstepRecord.close(0, [5, 0], comm_of(2, [(0, 1, 3)]), m),
             SuperstepRecord.close(1, [0, 7], CommMatrix.zeros(2), m),
         ]
-        text = trace_to_csv(trace_totals(recs))
+        text = trace_to_csv(CostTrace(recs))
         assert trace_to_csv(trace_from_csv(text)) == text
 
     def test_trace_csv_rejects_garbage(self):
         with pytest.raises(UsageError, match="line 2"):
             trace_from_csv("index,max_work,h,words_total,cost\n0,x,0,0,1.0\n")
+
+    @pytest.mark.parametrize("row", ["0,1,2,3,4.0,junk", "0,1,2,3", "0,1,2,3,4.0,"])
+    def test_trace_csv_rejects_a_row_not_as_wide_as_the_header(self, row):
+        with pytest.raises(UsageError, match="malformed trace CSV at line 3"):
+            trace_from_csv(f"index,max_work,h,words_total,cost\n0,1,0,0,1.0\n{row}\n")
+
+    def test_trace_csv_writes_missing_work_empty_and_cost_as_a_float(self):
+        rec = SuperstepRecord(index=0, max_work=None, h=1, words=2, cost=11)
+        text = trace_to_csv(CostTrace([rec]))
+        assert text == "index,max_work,h,words_total,cost\n0,,1,2,11.0\n"
+        assert trace_from_csv(text).steps == (SuperstepRecord(index=0, max_work=None, h=1, words=2, cost=11.0),)
+
+    def test_trace_dict_steps_use_the_csv_columns(self):
+        rec = SuperstepRecord(index=0, max_work=3, h=1, words=2, cost=14.0)
+        step = trace_to_dict(CostTrace([rec]))["steps"][0]
+        assert list(step) == TRACE_CSV_HEADER
+        assert step == {"index": 0, "max_work": 3, "h": 1, "words_total": 2, "cost": 14.0}
 
     def test_trace_csv_rejects_wrong_header(self):
         with pytest.raises(UsageError):

@@ -329,6 +329,30 @@ class TestFormats:
         with pytest.raises(UsageError, match="malformed surface CSV"):
             surface_from_csv(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# surface metric=cost\n,1,2\n1,1.0\n2,3.0,4.0\n# interpolated\n,1,2\n1,0,0\n2,0,0\n",
+            "# surface metric=cost\n,1,2\n1,1.0,2.0,5.0\n2,3.0,4.0\n# interpolated\n,1,2\n1,0,0\n2,0,0\n",
+            "# surface metric=cost\n,1,2\n1,1.0,2.0\n2,3.0,4.0\n# interpolated\n,1,2\n1,0,0\n2,0\n",
+        ],
+    )
+    def test_surface_row_not_as_wide_as_the_header_is_a_usage_error(self, text):
+        with pytest.raises(UsageError, match="malformed surface CSV: row .* has [13] cells, the header has 2 n values"):
+            surface_from_csv(text)
+
+    def test_grid_csv_unknown_metric_is_a_usage_error(self):
+        lines = grid_to_csv(sweep("broadcast", p_list=(2,), n_list=(1, 10))).splitlines()
+        lines[-1] = lines[-1].replace(",cost,", ",bogus,")
+        with pytest.raises(UsageError, match=f"line {len(lines)}: unknown metric 'bogus'"):
+            grid_from_csv("\n".join(lines) + "\n")
+
+    def test_grid_csv_row_without_an_environment_is_a_usage_error(self):
+        lines = grid_to_csv(sweep("broadcast", p_list=(2,), n_list=(1, 10))).splitlines()
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + ",nowhere"
+        with pytest.raises(UsageError, match=f"line {len(lines)}: env_id 'nowhere' has no '# env:' line"):
+            grid_from_csv("\n".join(lines) + "\n")
+
     def test_non_numeric_model_coefficient_is_a_usage_error(self):
         obj = json.loads(model_to_json(fit(synth_grid(lambda p, n: 2 + 3 * n, POINTS), ("1", "n"))))
         obj["coefficients"][1] = "three"

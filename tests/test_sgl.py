@@ -84,6 +84,17 @@ class TestGather:
                 run(lambda: gather(root, mkpar(lambda i: i, work=0)), M3)
 
 
+    @pytest.mark.parametrize("backend", ["simulate", "parallel"])
+    def test_non_vector_is_a_usage_error(self, backend):
+        with pytest.raises(UsageError):
+            run(lambda: gather(0, [1, 2, 3]), M3, backend=backend)
+
+    @pytest.mark.parametrize("backend", ["simulate", "parallel"])
+    def test_wrong_width_is_a_dimension_error(self, backend):
+        with pytest.raises(DimensionError):
+            run(lambda: gather(0, ParVec([1, 2])), M3, backend=backend)
+
+
 class TestLmap:
     def test_pointwise_no_comm(self):
         def program():

@@ -17,7 +17,9 @@ each of the three programs at P in {1, 4, 7}, and the measurement layer:
 ``bspkit sweep`` on a full p x n grid and on a single-p grid with
 ``--metrics memory,cost --reps 3``, ``bspkit fit`` on the full grid with
 ``--crossval``, ``--residuals`` and ``--surface``, a rank-deficient ``fit``,
-and ``bspkit surface`` on the single-p grid (a curve).  Each command runs in
+``bspkit surface`` on the single-p grid (a curve), ``bspkit run`` of
+samplesort and of hashlookup at p=4, n=50 writing the report JSON and the
+trace CSV, and ``bspkit check`` with every suite.  Each command runs in
 process through ``bspkit.cli.main``; its record is its exit status and the
 sha256 of its stdout, its stderr and each file it wrote, with every
 ``timestamp`` value masked.
@@ -50,13 +52,16 @@ SGL_PROGRAMS = 20
 FLAT_P = (1, 2, 3, 4, 7, 16)
 TRANSLATE_PROGRAMS = ("scatter", "gather", "pipeline")
 TRANSLATE_P = (1, 4, 7)
-#: (name, argv) of each measurement command, run in order in one directory; {dir} is that directory.
+#: (name, argv) of each CLI command whose outputs are hashed, run in order in one directory; {dir} is that directory.
 MEASUREMENT_COMMANDS = (
     ("sweep/grid", "sweep --algo total-exchange --p-list 1,2,4 --n-list 1,2,4 --out {dir}/grid.csv"),
     ("sweep/single-p", "sweep --algo broadcast --p-list 4 --n-list 1,10,100 --metrics memory,cost --reps 3 --out {dir}/single.csv"),
     ("fit/crossval", "fit --grid {dir}/grid.csv --crossval 4 --out {dir}/model.json --residuals {dir}/residuals.csv --surface {dir}/surface.csv"),
     ("fit/rank-deficient", "fit --grid {dir}/grid.csv --basis n,2*n --out {dir}/deficient.json"),
     ("surface/curve", "surface --grid {dir}/single.csv --out {dir}/curve.csv"),
+    ("run/samplesort", "run --algo samplesort --p 4 --n 50 --out {dir}/samplesort.json --trace {dir}/samplesort.csv"),
+    ("run/hashlookup", "run --algo hashlookup --p 4 --n 50 --out {dir}/hashlookup.json --trace {dir}/hashlookup.csv"),
+    ("check/all", "check"),
 )
 TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 BACKENDS = ("simulate", "parallel")
