@@ -14,6 +14,7 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from hashlib import blake2b
 from itertools import accumulate, chain
 from typing import Any, Callable, Iterable, Sequence
@@ -26,9 +27,8 @@ from .sgl import lmap, scatter
 
 
 def _papply(f: Callable[[int, Any], Any], pv: ParVec, work: Any = 1) -> ParVec:
-    """apply with the pid passed alongside the element."""
-    fv = mkpar(lambda i: (lambda v, i=i: f(i, v)), work=0)
-    return apply(fv, pv, work=work)
+    """apply with the pid passed alongside the element; the function vector is code and holds no words."""
+    return apply(ParVec(partial(f, i) for i in range(nprocs())), pv, work=work)
 
 
 def _block_work(blk) -> int:
@@ -125,12 +125,7 @@ def sample_sort(d: DistArray) -> DistArray:
     )
     with_splitters = put(splitter_plans)  # superstep 2: splitter broadcast
 
-    bucket_fns = _papply(
-        lambda i, rows: (lambda blk, sp=rows[0]: _partition(blk, sp, p)),
-        with_splitters,
-        work=0,
-    )
-    bucket_plans = apply(bucket_fns, tagged, work=_block_work)
+    bucket_plans = _papply(lambda i, blk: _partition(blk, with_splitters[i][0], p), tagged, work=_block_work)
     exchanged = put(bucket_plans)  # superstep 3: all-to-all redistribution
 
     merged = _papply(
@@ -354,16 +349,11 @@ def hash_lookup(table: DistHash, queries: DistArray) -> DistArray:
     question_plans = _papply(route, queries.blocks, work=_block_work)
     questions = put(question_plans)  # superstep 1: queries to owners
 
-    answer_fns = _papply(
-        lambda i, local: (
-            lambda rows, local=local: {
-                s: tuple((j, local.get(k, ABSENT)) for j, k in r) for s, r in enumerate(rows) if r
-            }
-        ),
-        table.table,
-        work=0,
-    )
-    answer_plans = apply(answer_fns, questions, work=_rows_work)
+    def answer(i, rows):
+        local = table.table[i]
+        return {s: tuple((j, local.get(k, ABSENT)) for j, k in r) for s, r in enumerate(rows) if r}
+
+    answer_plans = _papply(answer, questions, work=_rows_work)
     answers = put(answer_plans)  # superstep 2: answers back
 
     def assemble(i, rows):

@@ -100,18 +100,24 @@ class RunContext:
     def map_pids(self, call: Callable[[int], Any], work: Any = 1) -> list:
         """Evaluate call(i) for every pid and accrue its declared work.
 
-        ``work`` is an integer cost per element evaluation, or a callable of
-        the pid.  The calls run with no active run, so a primitive inside one
-        raises UsageError: the run is unset on the calling thread, and pool
-        threads never hold it.  Every pid is evaluated; results are assembled
-        by pid regardless of completion order, and the lowest failing pid
-        aborts the run.
+        ``work`` is an integer cost >= 0 per element evaluation, or a callable
+        of the pid that returns one; it is read right after call(i).  Both run
+        with no active run, so a primitive inside one raises UsageError: the
+        run is unset on the calling thread, and pool threads never hold it.
+        Every pid is evaluated; results are assembled by pid regardless of
+        completion order, and the lowest failing pid aborts the run.
         """
         errors: dict[int, BaseException] = {}
+        declared = [0] * self.p
 
         def at(i: int) -> Any:
             try:
-                return call(i)
+                value = call(i)
+                w = work(i) if callable(work) else work
+                if not (isinstance(w, int) and w >= 0):
+                    raise UsageError(f"declared work must be an integer >= 0, got {w!r}")
+                declared[i] = w
+                return value
             except Exception as exc:  # user code may raise anything
                 errors[i] = exc
 
@@ -124,7 +130,7 @@ class RunContext:
             pid = min(errors)
             raise ProgramError(pid, len(self.steps), errors[pid], partial_trace=self.partial_trace())
         for i in range(self.p):
-            self.open_work[i] += int(work(i) if callable(work) else work)
+            self.open_work[i] += declared[i]
             self.open_alloc[i] += default_sizing(results[i])
         return results
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import operator
 from array import array
 from collections import namedtuple
@@ -230,21 +231,23 @@ class CommMatrix:
         sent, received = [0] * p, [0] * p
         last, ordered = -1, True
         for s, d, w in sends:
-            if not (0 <= s < p and 0 <= d < p):
-                raise RoutingError(f"send from pid {s!r} to pid {d!r} outside 0..{p - 1}")
             try:
+                if not (0 <= s < p and 0 <= d < p):
+                    raise RoutingError(f"send from pid {s!r} to pid {d!r} outside 0..{p - 1}")
                 if w <= 0:
                     if w < 0:
                         raise DimensionError(f"negative word count {w} in communication matrix")
                     continue
+                key = s * p + d
+                add_key(key)  # the array takes only an int: a str or float pid fails here
                 add_val(w)
             except (TypeError, OverflowError):
-                raise DimensionError(f"word count {w!r} in communication matrix is not an integer below 2**63") from None
-            key = s * p + d
+                if all(isinstance(pid, int) and 0 <= pid < p for pid in (s, d)):
+                    raise DimensionError(f"word count {w!r} in communication matrix is not an integer below 2**63") from None
+                raise RoutingError(f"send from pid {s!r} to pid {d!r} outside 0..{p - 1}") from None
             if key <= last:
                 ordered = False
             last = key
-            add_key(key)
             if s != d:
                 sent[s] += w
                 received[d] += w
@@ -476,13 +479,21 @@ class CostTrace:
 #: CSV cell is read and how the field's value is written to one (the csv module writes None as "").
 Column = namedtuple("Column", "name field parse write", defaults=(lambda value: value,))
 
+
+def _at_least_0(number):
+    """A parsed cell, or ValueError if it is below 0, NaN or infinite."""
+    if not 0 <= number < math.inf:
+        raise ValueError(f"{number} is not a finite number >= 0")
+    return number
+
+
 #: Every summary column of a trace step, in CSV order.
 STEP_COLUMNS = (
-    Column("index", "index", int),
-    Column("max_work", "max_work", lambda cell: None if cell == "" else int(cell)),
-    Column("h", "h", int),
-    Column("words_total", "words", int),
-    Column("cost", "cost", float, write=lambda cost: repr(float(cost))),
+    Column("index", "index", lambda cell: _at_least_0(int(cell))),
+    Column("max_work", "max_work", lambda cell: None if cell == "" else _at_least_0(int(cell))),
+    Column("h", "h", lambda cell: _at_least_0(int(cell))),
+    Column("words_total", "words", lambda cell: _at_least_0(int(cell))),
+    Column("cost", "cost", lambda cell: _at_least_0(float(cell)), write=lambda cost: repr(float(cost))),
 )
 
 TRACE_CSV_HEADER = [c.name for c in STEP_COLUMNS]
@@ -520,7 +531,10 @@ def trace_from_csv(text: str) -> CostTrace:
         try:
             if len(row) != len(STEP_COLUMNS):
                 raise ValueError(f"expected {len(STEP_COLUMNS)} cells, got {len(row)}")
-            records.append(SuperstepRecord(**{c.field: c.parse(cell) for c, cell in zip(STEP_COLUMNS, row)}))
+            record = SuperstepRecord(**{c.field: c.parse(cell) for c, cell in zip(STEP_COLUMNS, row)})
+            if record.index != len(records):
+                raise ValueError(f"step index {record.index}, expected {len(records)}")
+            records.append(record)
         except ValueError as exc:
             raise UsageError(f"malformed trace CSV at line {lineno}: {exc}") from exc
     return CostTrace(records)

@@ -12,6 +12,7 @@ rejecting put and proj; ``translate_to_bsml`` routes them through put.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Sequence
 
 from . import bsml
@@ -66,9 +67,8 @@ def gather(root: int, pv: ParVec) -> list:
 
 
 def lmap(f: Callable, pv: ParVec, *, work: Any = 1) -> ParVec:
-    """Pointwise local map; no communication."""
-    fv = bsml.mkpar(lambda _i: f, work=0)
-    return bsml.apply(fv, pv, work=work)
+    """Pointwise local map; no communication.  f is replicated code, so it holds no words."""
+    return bsml.apply(ParVec((f,) * bsml.nprocs()), pv, work=work)
 
 
 def run_nested(tree: Machine, program: Callable[[], Any], backend: str = "simulate") -> tuple[Any, CostTrace]:
@@ -146,12 +146,8 @@ def _put_scatter(root: int, chunks: tuple) -> ParVec:
         lambda i: {d: chunks[d] for d in range(p) if d != root} if i == root else {},
         work=0,
     )
-    received = bsml.put(plan)
-    extract = bsml.mkpar(
-        lambda i: (lambda msgs, i=i: chunks[i] if i == root else msgs[root]),
-        work=0,
-    )
-    return bsml.apply(extract, received, work=0)
+    extract = ParVec(partial(lambda i, msgs: chunks[i] if i == root else msgs[root], i) for i in range(p))
+    return bsml.apply(extract, bsml.put(plan), work=0)
 
 
 def _put_gather(root: int, pv: ParVec) -> list:

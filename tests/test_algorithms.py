@@ -32,6 +32,7 @@ from bspkit.algorithms import (
     total_exchange,
     tree_fold,
 )
+from bspkit.engine import RunContext
 from bspkit.errors import UsageError, ValidationError
 
 M = lambda p: MachineConfig(p=p, g=1.0, l=10.0)
@@ -270,6 +271,18 @@ class TestHashing:
             return hash_lookup(table, distribute(["k"]))
 
         assert run(program, M(2)).result.to_list() == [2]
+
+
+class TestElementPasses:
+    @pytest.mark.parametrize("p", [1, 4, 7])
+    @pytest.mark.parametrize("name, passes", [("samplesort", 6), ("hashlookup", 5), ("nbody", 3), ("reduce", 2), ("scan", 2)])
+    def test_one_map_pids_pass_per_local_map(self, monkeypatch, name, passes, p):
+        # a function vector of replicated code costs no pass of its own
+        calls = []
+        map_pids = RunContext.map_pids
+        monkeypatch.setattr(RunContext, "map_pids", lambda ctx, *args, **kw: calls.append(1) or map_pids(ctx, *args, **kw))
+        run(build_program(name, 40, 1), M(p))
+        assert len(calls) == passes
 
 
 class TestGeneratorsAndRegistry:

@@ -130,6 +130,34 @@ class TestAbort:
                 assert isinstance(exc.value.cause, UsageError), (backend, name)
 
 
+    @pytest.mark.parametrize(
+        "work, pid, cause",
+        [
+            (lambda v: 1 // (v - 1) + 1, 1, ZeroDivisionError),  # a raising work callable
+            (lambda v: 2 - v, 3, UsageError),  # negative at pid 3
+            (-7, 0, UsageError),
+            (2.9, 0, UsageError),  # not an integer
+            (lambda v: nprocs(), 0, UsageError),  # declared work is read with no active run
+        ],
+    )
+    def test_bad_declared_work_is_a_program_error_on_both_backends(self, work, pid, cause):
+        def program():
+            put(mkpar(lambda s: {}, work=0))  # superstep 0 completes
+            return apply(mkpar(lambda i: (lambda v: v), work=0), mkpar(lambda i: i, work=0), work=work)
+
+        for backend in ("simulate", "parallel"):
+            with pytest.raises(ProgramError) as exc:
+                run(program, M4, backend=backend)
+            assert (exc.value.pid, exc.value.superstep, type(exc.value.cause)) == (pid, 1, cause), backend
+
+    def test_bad_mkpar_work_is_rejected_not_truncated(self):
+        for work in (-7, 2.9):
+            with pytest.raises(ProgramError) as exc:
+                run(lambda work=work: mkpar(lambda i: i, work=work), MachineConfig(p=2, g=1.0, l=100.0))
+            assert (exc.value.pid, exc.value.superstep) == (0, 0)
+            assert isinstance(exc.value.cause, UsageError)
+
+
 class TestDeterminism:
     def test_bit_identical_reports_modulo_timestamp(self):
         for name in sorted(ALGORITHMS):

@@ -63,7 +63,7 @@ class TestHRelation:
         with pytest.raises(DimensionError):
             comm_of(2, [(0, 1, -1)])
 
-    @pytest.mark.parametrize("send", [(-1, 0, 5), (0, -1, 5), (3, 0, 5), (0, 3, 5)])
+    @pytest.mark.parametrize("send", [(-1, 0, 5), (0, -1, 5), (3, 0, 5), (0, 3, 5), ("0", 1, 3), (0.5, 1, 3), (0, 1.0, 3)])
     def test_out_of_range_pid_rejected(self, send):
         with pytest.raises(RoutingError):
             comm_of(3, [send])
@@ -288,9 +288,17 @@ class TestSerialization:
         text = trace_to_csv(CostTrace(recs))
         assert trace_to_csv(trace_from_csv(text)) == text
 
-    def test_trace_csv_rejects_garbage(self):
+    @pytest.mark.parametrize(
+        "row",
+        ["0,x,0,0,1.0", "5,1,-5,0,nan", "0,-3,0,0,1.0", "0,1,0,-2,1.0", "0,1,0,0,nan", "0,1,0,0,inf", "0,1,0,0,-1.0", "1,1,0,0,1.0"],
+    )
+    def test_trace_csv_rejects_garbage(self, row):
         with pytest.raises(UsageError, match="line 2"):
-            trace_from_csv("index,max_work,h,words_total,cost\n0,x,0,0,1.0\n")
+            trace_from_csv(f"index,max_work,h,words_total,cost\n{row}\n")
+
+    def test_trace_csv_rejects_indices_out_of_order(self):
+        with pytest.raises(UsageError, match="line 3"):
+            trace_from_csv("index,max_work,h,words_total,cost\n0,1,0,0,1.0\n0,1,0,0,1.0\n")
 
     @pytest.mark.parametrize("row", ["0,1,2,3,4.0,junk", "0,1,2,3", "0,1,2,3,4.0,"])
     def test_trace_csv_rejects_a_row_not_as_wide_as_the_header(self, row):

@@ -121,6 +121,13 @@ class TestLmap:
         trace = run(program, M4).trace
         assert trace.steps[1].work == (7, 7, 7, 7)
 
+    @pytest.mark.parametrize("backend", ["simulate", "parallel"])
+    def test_replicated_function_holds_no_words(self, backend):
+        # 4 one-word blocks: pid 0 ends holding its own block plus the 3 it gathers
+        report = run(lambda: gather(0, lmap(lambda v: v, scatter(0, [(0,), (1,), (2,), (3,)]))), M4, backend=backend)
+        assert report.result == [(0,), (1,), (2,), (3,)]
+        assert report.peak_words == 4
+
 
 class TestRunNested:
     def test_flat_scatter_cost(self):

@@ -20,14 +20,23 @@ each of the three programs at P in {1, 4, 7}, and the measurement layer:
 ``bspkit surface`` on the single-p grid (a curve), ``bspkit run`` of
 samplesort and of hashlookup at p=4, n=50 writing the report JSON and the
 trace CSV, and ``bspkit check`` with every suite.  Each command runs in
-process through ``bspkit.cli.main``; its record is its exit status and the
-sha256 of its stdout, its stderr and each file it wrote, with every
-``timestamp`` value masked.
+process through ``bspkit.cli.main``; its record is its exit status, the
+sha256 of its stdout and its stderr, and for each file it wrote, with every
+``timestamp`` value masked: for a JSON object, each top-level key's number
+or the sha256 of any other value; for any other file, the sha256 of the file.
 
 A record is, for a run that succeeds, its result digest, peak words per pid
-and a sha256 of the per-step ``(index, h, words, max_work, cost, work,
-comm.words)`` tuples; for a run that fails, the error's type, pid, superstep
-and cause type.  Exit status: 0 when every record matches, 1 otherwise.
+and two sha256s of per-step tuples: ``counts`` of ``(index, h, words,
+comm.words)`` and ``costs`` of ``(work, max_work, cost)``; for a run that
+fails, the error's type, pid, superstep and cause type.
+
+Each differing record is printed with the fields it differs in (a number
+with its parent and change values), then one line per field class: digest,
+peak_words, counts, costs, error (any of the failure fields), and for a
+command the name of the differing output, file or JSON key.  Each line
+counts the records that differ in the class and how many of them hold a
+lower or a higher number.  Exit status: 0 when every record matches, 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -88,21 +97,23 @@ def matrix():
     from bspkit.library import BASIC_API
     from bspkit.model import total_p
 
-    def steps_sha256(trace) -> str:
-        rows = [(s.index, s.h, s.words, s.max_work, s.cost, s.work, s.comm.words) for s in trace.steps]
-        return hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()
+    def steps_fields(trace) -> dict:
+        """The trace's counts and costs, each as the sha256 of its per-step tuples."""
+        counts = [(s.index, s.h, s.words, s.comm.words) for s in trace.steps]
+        costs = [(s.work, s.max_work, s.cost) for s in trace.steps]
+        return {name: hashlib.sha256(repr(rows).encode("utf-8")).hexdigest() for name, rows in (("counts", counts), ("costs", costs))}
 
     def via_run(make):
         def runner(machine, backend):
             report = run(make(total_p(machine)), machine, backend=backend)
-            return {"digest": report.result_digest, "peak_words": report.peak_words, "steps": steps_sha256(report.trace)}
+            return {"digest": report.result_digest, "peak_words": report.peak_words, **steps_fields(report.trace)}
 
         return runner
 
     def via_run_nested(make):
         def runner(machine, backend):
             result, trace = run_nested(machine, make(total_p(machine)), backend=backend)
-            return {"digest": stable_digest(result), "steps": steps_sha256(trace)}
+            return {"digest": stable_digest(result), **steps_fields(trace)}
 
         return runner
 
@@ -249,13 +260,23 @@ def measurement_records():
     def sha256(text: str) -> str:
         return hashlib.sha256(TIMESTAMP.sub('"timestamp": "*"', text).encode("utf-8")).hexdigest()
 
+    def file_record(text: str):
+        """A JSON object file as one entry per top-level key (a number as itself, anything else hashed); other files hashed whole."""
+        try:
+            obj = json.loads(text)
+        except ValueError:
+            obj = None
+        if not isinstance(obj, dict):
+            return sha256(text)
+        return {k: v if _number(v) is not None else sha256(json.dumps(v, sort_keys=True)) for k, v in obj.items()}
+
     with tempfile.TemporaryDirectory() as tmp:
         written: set[Path] = set()
         for name, argv in MEASUREMENT_COMMANDS:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main([arg.format(dir=tmp) for arg in argv.split()])
-            files = {path.name: sha256(path.read_text(encoding="utf-8")) for path in sorted(Path(tmp).iterdir()) if path not in written}
+            files = {path.name: file_record(path.read_text(encoding="utf-8")) for path in sorted(Path(tmp).iterdir()) if path not in written}
             written.update(Path(tmp).iterdir())
             yield f"cli/{name}", {"exit": code, "stdout": sha256(out.getvalue()), "stderr": sha256(err.getvalue()), "files": files}
 
@@ -283,12 +304,58 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--parent and --change are required")
     parent, change = collect(args.parent), collect(args.change)
     differing = 0
+    tally = {name: [0, 0, 0] for name in CORE_CLASSES}  # class -> [records, lower, higher]
     for key in sorted(parent.keys() | change.keys()):
-        if parent.get(key) != change.get(key):
-            differing += 1
-            print(f"{key}\n  parent: {parent.get(key)}\n  change: {change.get(key)}")
+        diffs = field_diffs(parent.get(key), change.get(key))
+        if not diffs:
+            continue
+        differing += 1
+        print(f"{key}: " + ", ".join(path if old is None or new is None else f"{path} {old} -> {new}" for path, old, new in diffs))
+        per_class: dict[str, list[int]] = {}  # class -> [fields lower, fields higher] in this record
+        for path, old, new in diffs:
+            lower_higher = per_class.setdefault(field_class(path), [0, 0])
+            if old is not None and new is not None:
+                lower_higher[new > old] += 1
+        for name, (lower, higher) in per_class.items():
+            counts = tally.setdefault(name, [0, 0, 0])
+            counts[0] += 1
+            counts[1] += lower > 0
+            counts[2] += higher > 0
     print(f"{len(parent.keys() | change.keys())} runs, {differing} differ")
+    for name, (records, lower, higher) in tally.items():
+        moved = f" ({lower} with a lower number, {higher} with a higher one)" if lower or higher else ""
+        print(f"  {name}: {records} records differ{moved}")
     return 1 if differing else 0
+
+
+#: The field classes of a run's record, tallied even when no record differs in them.
+CORE_CLASSES = ("digest", "peak_words", "counts", "costs", "error")
+ERROR_FIELDS = ("error", "pid", "superstep", "cause")
+
+
+def flatten(record, prefix: str = "") -> dict:
+    """Path -> leaf value of a record; a missing record has no paths."""
+    out = {}
+    for k, v in (record or {}).items():
+        path = f"{prefix}{k}"
+        out.update(flatten(v, path + "/") if isinstance(v, dict) else {path: v})
+    return out
+
+
+def field_diffs(parent, change) -> list[tuple[str, object, object]]:
+    """(path, parent value, change value) of every field whose value differs, numbers shown as they are and hashes as None."""
+    a, b = flatten(parent), flatten(change)
+    return [(path, _number(a.get(path)), _number(b.get(path))) for path in sorted(a.keys() | b.keys()) if a.get(path) != b.get(path)]
+
+
+def _number(value):
+    return value if isinstance(value, (int, float)) and not isinstance(value, bool) else None
+
+
+def field_class(path: str) -> str:
+    """A field's class: "error" for where and why a run failed, the JSON key for a field of a written file, else the field's name."""
+    name = path.rsplit("/", 1)[-1]
+    return "error" if name in ERROR_FIELDS else name
 
 
 if __name__ == "__main__":
