@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .engine import RunContext, current_context
-from .errors import DimensionError, RoutingError, UsageError
+from .errors import BspError, DimensionError, RoutingError, UsageError
 from .model import Inbox, ParVec, default_sizing
 
 
@@ -62,7 +62,7 @@ def proj(pv: ParVec) -> tuple:
         raise UsageError("proj is not an SGL operation; use gather")
     _check_width(ctx, pv, "vector")
     p = ctx.p
-    sizes = [default_sizing(v) for v in pv.elems]
+    sizes = ctx.sizes(pv.elems)
     ctx.close_superstep((s, d, sizes[s]) for s in range(p) for d in range(p) if s != d)
     return tuple(pv.elems)
 
@@ -73,7 +73,9 @@ def put(plan: ParVec) -> ParVec:
     Each pid's plan entry maps destination pids to optional messages, given as
     a dict, a length-p sequence (None = no message), or a callable probed for
     every destination.  Plans are read once, in pid order: a dict costs its
-    own entries, a sequence or a callable all p destinations.  The superstep
+    own entries, a sequence or a callable all p destinations.  A callable
+    plan or a message's size that raises fails the run at the source pid; a
+    plan of the wrong shape raises its BspError as it is.  The superstep
     ends, and each pid receives an ``Inbox``: a read-only length-p sequence
     indexed by source pid that stores only the messages that are not None,
     and compares equal to the dense tuple.
@@ -87,11 +89,16 @@ def put(plan: ParVec) -> ParVec:
 
     def sends():
         for s in range(p):
-            for d, msg in _plan_items(s, plan.elems[s], p):
-                if msg is not None:
-                    inbox[d][s] = msg
-                    if d != s:
-                        yield s, d, default_sizing(msg)
+            try:
+                for d, msg in _plan_items(s, plan.elems[s], p):
+                    if msg is not None:
+                        inbox[d][s] = msg
+                        if d != s:
+                            yield s, d, default_sizing(msg)
+            except BspError:
+                raise
+            except Exception as exc:  # user code: a callable plan, or a message's __len__
+                raise ctx.failure(s, exc) from exc
 
     ctx.close_superstep(sends())
     return ParVec([Inbox(msgs, p) for msgs in inbox])

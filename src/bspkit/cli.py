@@ -25,6 +25,7 @@ from .model import (
 )
 from .perfmodel import (
     DEFAULT_BASIS,
+    METRICS,
     crossval,
     fit,
     grid_from_csv,
@@ -51,7 +52,11 @@ def _env_pairs(items) -> dict[str, str]:
 def _machine_from_args(args) -> object:
     if getattr(args, "machine", None):
         with open(args.machine, "r", encoding="utf-8") as fh:
-            return machine_from_dict(json.load(fh))
+            try:
+                obj = json.load(fh)
+            except ValueError as exc:  # json.JSONDecodeError, or a file that is not UTF-8
+                raise UsageError(f"machine JSON {args.machine}: {exc}") from exc
+        return machine_from_dict(obj)
     return MachineConfig(p=args.p, g=args.g, l=args.l, r=args.r)
 
 
@@ -217,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--n-list", required=True, help="comma-separated input sizes")
     p_sweep.add_argument("--backend", default="simulate", choices=BACKENDS)
     p_sweep.add_argument("--reps", type=int, default=1, help="repetitions (parallel backend)")
-    p_sweep.add_argument("--metrics", help="comma-separated subset of cost,time,memory")
+    p_sweep.add_argument("--metrics", help=f"comma-separated subset of {','.join(METRICS)}")
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--dist", default="uniform", choices=DISTRIBUTIONS)
     _add_machine_flags(p_sweep, with_tree=False)

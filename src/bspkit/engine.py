@@ -88,6 +88,23 @@ class RunContext:
     def partial_trace(self) -> CostTrace:
         return CostTrace(self.steps)
 
+    def failure(self, pid: int, cause: BaseException) -> ProgramError:
+        """The error that ends the run when user code for pid raised cause in the open superstep."""
+        return ProgramError(pid, len(self.steps), cause, partial_trace=self.partial_trace())
+
+    def sizes(self, values: Iterable, holder: int | None = None) -> list[int]:
+        """Words in each value: pid i holds the i-th, unless one holder holds them all.
+
+        A size that cannot be read (a user ``__len__`` that raises) fails the run at the pid holding it.
+        """
+        sizes: list[int] = []
+        try:
+            for value in values:
+                sizes.append(default_sizing(value))
+        except Exception as exc:  # user code may raise anything
+            raise self.failure(len(sizes) if holder is None else holder, exc) from exc
+        return sizes
+
     def finish(self) -> CostTrace:
         """Close the run; trailing local work is flushed by the final barrier."""
         self.peak_words = max(self.peak_words, max(self.open_alloc, default=0))
@@ -101,14 +118,16 @@ class RunContext:
         """Evaluate call(i) for every pid and accrue its declared work.
 
         ``work`` is an integer cost >= 0 per element evaluation, or a callable
-        of the pid that returns one; it is read right after call(i).  Both run
-        with no active run, so a primitive inside one raises UsageError: the
-        run is unset on the calling thread, and pool threads never hold it.
+        of the pid that returns one; it is read right after call(i), and then
+        the result is sized.  All three run with no active run, so a primitive
+        inside one raises UsageError: the run is unset on the calling thread,
+        and pool threads never hold it.
         Every pid is evaluated; results are assembled by pid regardless of
         completion order, and the lowest failing pid aborts the run.
         """
         errors: dict[int, BaseException] = {}
         declared = [0] * self.p
+        words = [0] * self.p
 
         def at(i: int) -> Any:
             try:
@@ -117,6 +136,7 @@ class RunContext:
                 if not (isinstance(w, int) and w >= 0):
                     raise UsageError(f"declared work must be an integer >= 0, got {w!r}")
                 declared[i] = w
+                words[i] = default_sizing(value)
                 return value
             except Exception as exc:  # user code may raise anything
                 errors[i] = exc
@@ -128,10 +148,10 @@ class RunContext:
             _CURRENT.reset(token)
         if errors:
             pid = min(errors)
-            raise ProgramError(pid, len(self.steps), errors[pid], partial_trace=self.partial_trace())
+            raise self.failure(pid, errors[pid])
         for i in range(self.p):
             self.open_work[i] += declared[i]
-            self.open_alloc[i] += default_sizing(results[i])
+            self.open_alloc[i] += words[i]
         return results
 
 

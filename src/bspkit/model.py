@@ -10,14 +10,12 @@ I/O with the outside world except the dict/CSV serializers at the bottom.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import operator
 from array import array
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import DimensionError, RoutingError, UsageError
 
@@ -94,19 +92,30 @@ def machine_from_dict(obj: dict) -> Machine:
 
     ``{"p": 4, "g": 1, "l": 10}`` is a flat machine; ``{"children": [...],
     "g": 2, "l": 20}`` is a tree node whose children are parsed recursively.
+    Keys it does not know are ignored; a value that is not an object, a
+    missing ``p`` and a parameter that is not a number raise UsageError.
     """
+    if not isinstance(obj, dict):
+        raise UsageError(f"a machine must be a JSON object, got {type(obj).__name__}")
     if "children" in obj:
+        if not isinstance(obj["children"], (list, tuple)):
+            raise UsageError(f"machine key 'children' must be a list, got {obj['children']!r}")
         children = tuple(as_tree(machine_from_dict(c)) for c in obj["children"])
-        return Node(children=children, g=float(obj.get("g", DEFAULT_G)), l=float(obj.get("l", DEFAULT_L)))
+        return Node(children=children, g=_number(obj, "g", DEFAULT_G), l=_number(obj, "l", DEFAULT_L))
+    if "p" not in obj:
+        raise UsageError("a machine needs the key 'p' (flat) or 'children' (tree)")
     p = obj["p"]
     if isinstance(p, float) and p.is_integer():
         p = int(p)
-    return MachineConfig(
-        p=p,
-        g=float(obj.get("g", DEFAULT_G)),
-        l=float(obj.get("l", DEFAULT_L)),
-        r=float(obj.get("r", DEFAULT_R)),
-    )
+    return MachineConfig(p=p, g=_number(obj, "g", DEFAULT_G), l=_number(obj, "l", DEFAULT_L), r=_number(obj, "r", DEFAULT_R))
+
+
+def _number(obj: dict, key: str, default: float) -> float:
+    """The machine parameter under key as a float, default if absent."""
+    try:
+        return float(obj.get(key, default))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"machine key {key!r} must be a number, got {obj[key]!r}") from exc
 
 
 def machine_to_dict(machine: Machine) -> dict:
@@ -420,8 +429,13 @@ class SuperstepRecord:
 
     @classmethod
     def close(cls, index: int, work: Sequence[int], comm: CommMatrix, machine: Machine) -> SuperstepRecord:
-        """Record a fully-known superstep, computing h and cost from machine."""
-        w = tuple(int(x) for x in work)
+        """Record a fully-known superstep, computing h and cost from machine.
+
+        Each pid's work must be an integer >= 0, as ``RunContext.map_pids`` requires of declared work.
+        """
+        w = tuple(work)
+        if not all(isinstance(x, int) and x >= 0 for x in w):
+            raise DimensionError(f"work must be integers >= 0, got {list(w)!r}")
         return cls(
             index=index,
             h=h_relation(comm),
@@ -475,9 +489,38 @@ class CostTrace:
 
 # --- serialization ---------------------------------------------------------
 
-#: One summary column of a trace step: its CSV column and JSON key, its SuperstepRecord field, how a
-#: CSV cell is read and how the field's value is written to one (the csv module writes None as "").
-Column = namedtuple("Column", "name field parse write", defaults=(lambda value: value,))
+#: One column of a table row: its CSV column (and JSON key), the row's field it holds, how a CSV
+#: cell is read, and how the field's value is written to one.
+Column = namedtuple("Column", "name field parse write", defaults=(str,))
+
+
+def write_columns(columns: Sequence[Column], rows: Iterable) -> str:
+    """A header line of the columns' names, then one line of comma-separated cells per row."""
+    lines = [",".join(c.name for c in columns)]
+    lines.extend(",".join(c.write(getattr(row, c.field)) for c in columns) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def read_columns(lines: Iterable[tuple[int, str]], columns: Sequence[Column], what: str, make: Callable[..., Any]) -> Iterator[tuple[int, Any]]:
+    """(line number, make(**fields)) of each row after the header of the columns' names; empty lines are skipped.
+
+    A wrong header, a row not as wide as the header or a cell its column cannot parse raises UsageError naming the line.
+    """
+    lines = iter(lines)
+    lineno, header = next(lines, (1, None))
+    expected = ",".join(c.name for c in columns)
+    if header != expected:
+        raise UsageError(f"malformed {what} at line {lineno}: expected header {expected!r}, got {header!r}")
+    for lineno, line in lines:
+        if not line:
+            continue
+        cells = line.split(",")
+        try:
+            if len(cells) != len(columns):
+                raise ValueError(f"expected {len(columns)} cells, got {len(cells)}")
+            yield lineno, make(**{c.field: c.parse(cell) for c, cell in zip(columns, cells)})
+        except ValueError as exc:
+            raise UsageError(f"malformed {what} at line {lineno}: {exc}") from exc
 
 
 def _at_least_0(number):
@@ -490,7 +533,7 @@ def _at_least_0(number):
 #: Every summary column of a trace step, in CSV order.
 STEP_COLUMNS = (
     Column("index", "index", lambda cell: _at_least_0(int(cell))),
-    Column("max_work", "max_work", lambda cell: None if cell == "" else _at_least_0(int(cell))),
+    Column("max_work", "max_work", lambda cell: None if cell == "" else _at_least_0(int(cell)), write=lambda w: "" if w is None else str(w)),
     Column("h", "h", lambda cell: _at_least_0(int(cell))),
     Column("words_total", "words", lambda cell: _at_least_0(int(cell))),
     Column("cost", "cost", lambda cell: _at_least_0(float(cell)), write=lambda cost: repr(float(cost))),
@@ -511,30 +554,14 @@ def trace_to_dict(trace: CostTrace) -> dict:
 
 
 def trace_to_csv(trace: CostTrace) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRACE_CSV_HEADER)
-    for s in trace.steps:
-        writer.writerow([c.write(getattr(s, c.field)) for c in STEP_COLUMNS])
-    return buf.getvalue()
+    return write_columns(STEP_COLUMNS, trace.steps)
 
 
 def trace_from_csv(text: str) -> CostTrace:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != TRACE_CSV_HEADER:
-        raise UsageError(f"not a trace CSV: header {header!r}")
-    records = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        try:
-            if len(row) != len(STEP_COLUMNS):
-                raise ValueError(f"expected {len(STEP_COLUMNS)} cells, got {len(row)}")
-            record = SuperstepRecord(**{c.field: c.parse(cell) for c, cell in zip(STEP_COLUMNS, row)})
-            if record.index != len(records):
-                raise ValueError(f"step index {record.index}, expected {len(records)}")
-            records.append(record)
-        except ValueError as exc:
-            raise UsageError(f"malformed trace CSV at line {lineno}: {exc}") from exc
-    return CostTrace(records)
+    rows = list(read_columns(enumerate(text.splitlines(), start=1), STEP_COLUMNS, "trace CSV", SuperstepRecord))
+    for i, (lineno, step) in enumerate(rows):
+        if step.index != i:
+            raise UsageError(f"malformed trace CSV at line {lineno}: step index {step.index}, expected {i}")
+        if step.h > step.words:  # a step's h never exceeds the words it sends
+            raise UsageError(f"malformed trace CSV at line {lineno}: h {step.h} exceeds words_total {step.words}")
+    return CostTrace(step for _lineno, step in rows)

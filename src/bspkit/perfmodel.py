@@ -2,19 +2,21 @@
 
 A sweep runs one algorithm over a grid of (p, n) cells.  Each cell is a
 ``run``: once on the simulate backend, ``repetitions`` times on the parallel
-backend.  It records one value per metric per cell: the exact model cost,
-peak words per pid (simulate only) or the median wall-clock seconds
-(parallel only).  Each row names the environment record of its own runs, so
-a parallel sweep carries one record per distinct ``cores_used``.  ``fit``,
-``crossval`` and ``surface`` read one metric, by default the grid's first.
-A model is a list of named basis terms over (p, n) fitted by linear least
-squares; ``surface`` reshapes a grid into a plot-ready matrix with a header
-row of n values and a leading column of p values.
+backend.  It records one value per metric per cell, each metric being one
+entry of ``METRICS``: the exact model cost, the exact peak words per pid, or
+the median wall-clock seconds (parallel only).  Each row names the
+environment record of its own runs, so a parallel sweep carries one record
+per distinct ``cores_used``.  ``fit``, ``crossval`` and ``surface`` read one
+metric, by default the grid's first.  A model is a list of named basis terms
+over (p, n) fitted by linear least squares; ``surface`` reshapes a grid into
+a plot-ready matrix with a header row of n values and a leading column of p
+values.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import json
 import statistics
 from dataclasses import dataclass
@@ -25,9 +27,14 @@ import numpy as np
 from .algorithms import build_program
 from .engine import run, stable_digest
 from .errors import UsageError
-from .model import DEFAULT_G, DEFAULT_L, DEFAULT_R, MachineConfig
+from .model import DEFAULT_G, DEFAULT_L, DEFAULT_R, Column, MachineConfig, read_columns, write_columns
 
-METRICS = ("cost", "time", "memory")
+#: Each metric a sweep can record: its value for one cell, read from the cell's run reports.
+METRICS = {
+    "cost": lambda reports: reports[0].trace.total_cost,
+    "time": lambda reports: statistics.median(report.wall_time for report in reports),
+    "memory": lambda reports: reports[0].peak_words,
+}
 
 #: Low-degree polynomial terms plus the rational n/p term parallel laws need.
 DEFAULT_BASIS = ("1", "n", "p", "n*p", "n/p", "n^2")
@@ -138,7 +145,8 @@ def sweep(
     """One row per (p, n) cell per metric.
 
     simulate cells are exact and ignore ``repetitions`` (noted in the
-    environment record); parallel cells report the median wall time.  A
+    environment record).  Every metric is available on both backends except
+    ``time``, the median wall time, which needs the parallel backend.  A
     row's ``env_id`` is the digest of its runs' environment record without
     the timestamp; the grid holds each distinct record once.
     """
@@ -150,11 +158,9 @@ def sweep(
         metrics = ("time",) if backend == "parallel" else ("cost",)
     for m in metrics:
         if m not in METRICS:
-            raise UsageError(f"unknown metric {m!r}; expected one of {METRICS}")
+            raise UsageError(f"unknown metric {m!r}; expected one of {', '.join(METRICS)}")
         if m == "time" and backend != "parallel":
             raise UsageError("the time metric needs the parallel backend")
-        if m == "memory" and backend != "simulate":
-            raise UsageError("the memory metric is reported by the simulate backend only")
 
     overrides = dict(env or {})
     if backend == "simulate" and repetitions > 1:
@@ -172,11 +178,7 @@ def sweep(
             env_id = stable_digest({k: v for k, v in env_dict.items() if k != "timestamp"})[:12]
             environments.setdefault(env_id, env_dict)
             for m in metrics:
-                if m == "time":
-                    value = statistics.median(report.wall_time for report in reports)
-                else:
-                    value = reports[0].trace.total_cost if m == "cost" else reports[0].peak_words
-                rows.append(GridRow(p=int(p), n=int(n), metric=m, value=float(value), env_id=env_id))
+                rows.append(GridRow(p=int(p), n=int(n), metric=m, value=float(METRICS[m](reports)), env_id=env_id))
     return SweepGrid(rows=tuple(rows), environments=tuple(environments.items()))
 
 
@@ -357,27 +359,33 @@ def _bilinear(values, ps, ns, i, j):
 
 # --- serialization -------------------------------------------------------------------
 
-GRID_CSV_HEADER = ["p", "n", "metric", "value", "env_id"]
+def _known_metric(cell: str) -> str:
+    if cell not in METRICS:
+        raise ValueError(f"unknown metric {cell!r}; expected one of {', '.join(METRICS)}")
+    return cell
+
+
+#: The columns of a grid CSV row, in order.
+GRID_COLUMNS = (
+    Column("p", "p", int),
+    Column("n", "n", int),
+    Column("metric", "metric", _known_metric),
+    Column("value", "value", float, write=lambda value: repr(float(value))),
+    Column("env_id", "env_id", str),
+)
 
 
 def grid_to_csv(grid: SweepGrid) -> str:
     lines = ["# bspkit-grid v1"]
     for env_id, env in sorted(grid.environments):
         lines.append(f"# env:{env_id}={json.dumps(env, sort_keys=True)}")
-    lines.append(",".join(GRID_CSV_HEADER))
-    for row in grid.rows:
-        lines.append(f"{row.p},{row.n},{row.metric},{float(row.value)!r},{row.env_id}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + write_columns(GRID_COLUMNS, grid.rows)
 
 
 def grid_from_csv(text: str) -> SweepGrid:
-    rows: list[GridRow] = []
-    row_lines: list[int] = []  # the line number of each row
     environments: list[tuple[str, dict]] = []
-    header_seen = False
+    table: list[tuple[int, str]] = []  # the numbered lines of the header and the rows
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("env:") and "=" in body:
@@ -386,44 +394,18 @@ def grid_from_csv(text: str) -> SweepGrid:
                     environments.append((env_id, json.loads(payload)))
                 except json.JSONDecodeError as exc:
                     raise UsageError(f"malformed grid CSV at line {lineno}: bad environment JSON ({exc})") from exc
-            continue
-        parts = line.split(",")
-        if not header_seen:
-            if parts != GRID_CSV_HEADER:
-                raise UsageError(f"malformed grid CSV at line {lineno}: expected header {','.join(GRID_CSV_HEADER)!r}")
-            header_seen = True
-            continue
-        try:
-            if len(parts) != 5:
-                raise ValueError(f"expected 5 columns, got {len(parts)}")
-            if parts[2] not in METRICS:
-                raise ValueError(f"unknown metric {parts[2]!r}; expected one of {METRICS}")
-            rows.append(GridRow(p=int(parts[0]), n=int(parts[1]), metric=parts[2], value=float(parts[3]), env_id=parts[4]))
-        except ValueError as exc:
-            raise UsageError(f"malformed grid CSV at line {lineno}: {exc}") from exc
-        row_lines.append(lineno)
-    if not header_seen:
-        raise UsageError("malformed grid CSV at line 1: missing header")
+        elif line.strip():
+            table.append((lineno, line))
+    rows = list(read_columns(table, GRID_COLUMNS, "grid CSV", GridRow))
     known = {env_id for env_id, _env in environments}
-    for lineno, row in zip(row_lines, rows):
+    for lineno, row in rows:
         if row.env_id not in known:
             raise UsageError(f"malformed grid CSV at line {lineno}: env_id {row.env_id!r} has no '# env:' line")
-    return SweepGrid(rows=tuple(rows), environments=tuple(environments))
+    return SweepGrid(rows=tuple(row for _lineno, row in rows), environments=tuple(environments))
 
 
 def model_to_json(model: PerfModel, env: dict | None = None) -> str:
-    obj = {
-        "basis": list(model.basis),
-        "coefficients": list(model.coefficients),
-        "metric": model.metric,
-        "residuals": {
-            "max_abs": model.residuals.max_abs,
-            "rms": model.residuals.rms,
-            "r2": model.residuals.r2,
-        },
-        "rank_deficient": model.rank_deficient,
-        "deficient_terms": list(model.deficient_terms),
-    }
+    obj = {**dataclasses.asdict(model), "rank_deficient": model.rank_deficient}
     if env is not None:
         obj["environment"] = env
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"

@@ -25,7 +25,6 @@ from .model import (
     MachineTree,
     Node,
     ParVec,
-    default_sizing,
     total_p,
 )
 
@@ -50,7 +49,7 @@ def scatter(root: int, chunks: Sequence) -> ParVec:
     _check_root(ctx, root)
     if ctx.sgl_via_put:
         return _put_scatter(root, chunks)
-    ctx.close_superstep(_scatter_sends(ctx.machine, root, [default_sizing(c) for c in chunks]))
+    ctx.close_superstep(_scatter_sends(ctx.machine, root, ctx.sizes(chunks, holder=root)))
     return ParVec(chunks)
 
 
@@ -61,7 +60,7 @@ def gather(root: int, pv: ParVec) -> list:
     _check_root(ctx, root)
     if ctx.sgl_via_put:
         return _put_gather(root, pv)
-    sends = _scatter_sends(ctx.machine, root, [default_sizing(v) for v in pv.elems])
+    sends = _scatter_sends(ctx.machine, root, ctx.sizes(pv.elems))
     ctx.close_superstep((d, s, w) for s, d, w in sends)  # scatter's sends, reversed
     return list(pv.elems)
 

@@ -76,6 +76,17 @@ class TestRun:
         assert main(["run", "--algo", "empty", "--env", f"cores_used={value}"]) == 2
         assert f"cores_used must be at least 1, got '{value}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [("{}", "'p'"), ('{"p": 4, "g": "x"}', "'g'"), ("not json", "Expecting value"), ("[1, 2]", "JSON object")],
+    )
+    def test_malformed_machine_json_exit_2(self, tmp_path, capsys, text, named):
+        cfg = tmp_path / "m.json"
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["run", "--algo", "empty", "--machine", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and named in err
+
     def test_machine_tree_config(self, tmp_path):
         cfg = tmp_path / "tree.json"
         cfg.write_text(json.dumps({"children": [{"p": 2, "g": 1, "l": 10}, {"p": 2, "g": 1, "l": 10}], "g": 2, "l": 20}))

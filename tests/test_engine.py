@@ -24,6 +24,13 @@ def total_exchange_program():
     return put(mkpar(lambda s: {d: (s,) for d in range(p) if d != s}, work=0))
 
 
+class Unsized:
+    """A value whose size is user code that fails: len() raises ValueError for a __len__ of -1."""
+
+    def __len__(self):
+        return -1
+
+
 class TestRun:
     def test_empty_program(self):
         report = run(lambda: None, M4)
@@ -149,6 +156,28 @@ class TestAbort:
             with pytest.raises(ProgramError) as exc:
                 run(program, M4, backend=backend)
             assert (exc.value.pid, exc.value.superstep, type(exc.value.cause)) == (pid, 1, cause), backend
+
+    @pytest.mark.parametrize(
+        "make, pid, cause",
+        [
+            (lambda: mkpar(lambda i: Unsized() if i == 1 else i), 1, ValueError),  # a mkpar result
+            (lambda: put(mkpar(lambda i: {0: Unsized()} if i == 1 else {})), 1, ValueError),  # a put message, at its source
+            (lambda: proj(ParVec([0, Unsized()])), 1, ValueError),  # a proj element
+            (lambda: scatter(1, [Unsized(), 0]), 1, ValueError),  # a scatter chunk, at the root that holds it
+            (lambda: put(mkpar(lambda i: (lambda d: 1 // 0) if i == 1 else None)), 1, ZeroDivisionError),  # a callable plan
+        ],
+        ids=["mkpar", "put-message", "proj", "scatter", "put-plan"],
+    )
+    def test_user_code_inside_a_primitive_fails_at_its_pid_on_both_backends(self, make, pid, cause):
+        def program():
+            proj(mkpar(lambda i: i, work=0))  # superstep 0 completes
+            return make()
+
+        for backend in ("simulate", "parallel"):
+            with pytest.raises(ProgramError) as exc:
+                run(program, MachineConfig(p=2), backend=backend)
+            assert (exc.value.pid, exc.value.superstep, type(exc.value.cause)) == (pid, 1, cause), backend
+            assert exc.value.partial_trace.sync_count == 1
 
     def test_bad_mkpar_work_is_rejected_not_truncated(self):
         for work in (-7, 2.9):

@@ -272,6 +272,11 @@ class TestTraceTotals:
         rec = SuperstepRecord.close(0, [8, 2], comm_of(2, [(0, 1, 5)]), m)
         assert rec.recost(m) == rec.cost
 
+    @pytest.mark.parametrize("work", [[2.9, 1], [-7, 1]])
+    def test_close_rejects_work_that_is_not_an_integer_of_at_least_0(self, work):
+        with pytest.raises(DimensionError, match="work must be integers >= 0"):
+            SuperstepRecord.close(0, work, CommMatrix.zeros(2), MachineConfig(p=2, g=1.0, l=0.0))
+
     def test_recost_without_work_counts(self):
         rec = SuperstepRecord(index=0, max_work=None, h=3, words=3, cost=13.0)
         with pytest.raises(UsageError):
@@ -290,7 +295,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "row",
-        ["0,x,0,0,1.0", "5,1,-5,0,nan", "0,-3,0,0,1.0", "0,1,0,-2,1.0", "0,1,0,0,nan", "0,1,0,0,inf", "0,1,0,0,-1.0", "1,1,0,0,1.0"],
+        ["0,x,0,0,1.0", "5,1,-5,0,nan", "0,-3,0,0,1.0", "0,1,0,-2,1.0", "0,1,0,0,nan", "0,1,0,0,inf", "0,1,0,0,-1.0", "1,1,0,0,1.0", "0,1,5,0,1.0"],
     )
     def test_trace_csv_rejects_garbage(self, row):
         with pytest.raises(UsageError, match="line 2"):

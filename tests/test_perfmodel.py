@@ -231,6 +231,11 @@ class TestSweep:
         mem = next(r for r in grid.rows if r.metric == "memory")
         assert mem.value >= 10.0  # every non-root pid receives the 10-word payload
 
+    def test_exact_metrics_on_parallel_equal_simulate(self):
+        cells = dict(p_list=(1, 4), n_list=(1, 10), metrics=("memory", "cost"))
+        rows = lambda grid: [(r.p, r.n, r.metric, r.value) for r in grid.rows]
+        assert rows(sweep("broadcast", backend="parallel", **cells)) == rows(sweep("broadcast", **cells))
+
     def test_parallel_median_of_repetitions(self):
         grid = sweep("reduce", p_list=(2,), n_list=(50,), backend="parallel", repetitions=3)
         assert len(grid.rows) == 1

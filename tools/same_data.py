@@ -14,8 +14,9 @@ element functions call a primitive or raise.  Every program runs on flat p
 in {1, 2, 3, 4, 7, 16}, on the 2x2 tree and on a 3-level tree, on both
 backends.  It also runs ``bspkit translate --program PROG --p P`` for
 each of the three programs at P in {1, 4, 7}, and the measurement layer:
-``bspkit sweep`` on a full p x n grid and on a single-p grid with
-``--metrics memory,cost --reps 3``, ``bspkit fit`` on the full grid with
+``bspkit sweep`` on a full p x n grid, on a single-p grid with
+``--metrics memory,cost --reps 3`` and on the parallel backend with
+``--metrics memory,cost``, ``bspkit fit`` on the full grid with
 ``--crossval``, ``--residuals`` and ``--surface``, a rank-deficient ``fit``,
 ``bspkit surface`` on the single-p grid (a curve), ``bspkit run`` of
 samplesort and of hashlookup at p=4, n=50 writing the report JSON and the
@@ -65,6 +66,7 @@ TRANSLATE_P = (1, 4, 7)
 MEASUREMENT_COMMANDS = (
     ("sweep/grid", "sweep --algo total-exchange --p-list 1,2,4 --n-list 1,2,4 --out {dir}/grid.csv"),
     ("sweep/single-p", "sweep --algo broadcast --p-list 4 --n-list 1,10,100 --metrics memory,cost --reps 3 --out {dir}/single.csv"),
+    ("sweep/parallel-exact", "sweep --algo broadcast --p-list 1,4 --n-list 1,10 --backend parallel --metrics memory,cost --out {dir}/parallel.csv"),
     ("fit/crossval", "fit --grid {dir}/grid.csv --crossval 4 --out {dir}/model.json --residuals {dir}/residuals.csv --surface {dir}/surface.csv"),
     ("fit/rank-deficient", "fit --grid {dir}/grid.csv --basis n,2*n --out {dir}/deficient.json"),
     ("surface/curve", "surface --grid {dir}/single.csv --out {dir}/curve.csv"),
