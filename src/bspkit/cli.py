@@ -53,10 +53,11 @@ def _machine_from_args(args) -> object:
     if getattr(args, "machine", None):
         with open(args.machine, "r", encoding="utf-8") as fh:
             try:
-                obj = json.load(fh)
+                return machine_from_dict(json.load(fh))
             except ValueError as exc:  # json.JSONDecodeError, or a file that is not UTF-8
                 raise UsageError(f"machine JSON {args.machine}: {exc}") from exc
-        return machine_from_dict(obj)
+            except RecursionError as exc:  # from the JSON decoder or the recursive parse of the tree
+                raise UsageError(f"machine JSON {args.machine}: nested too deeply") from exc
     return MachineConfig(p=args.p, g=args.g, l=args.l, r=args.r)
 
 

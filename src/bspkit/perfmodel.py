@@ -27,7 +27,7 @@ import numpy as np
 from .algorithms import build_program
 from .engine import run, stable_digest
 from .errors import UsageError
-from .model import DEFAULT_G, DEFAULT_L, DEFAULT_R, Column, MachineConfig, read_columns, write_columns
+from .model import DEFAULT_G, DEFAULT_L, DEFAULT_R, Column, MachineConfig, _at_least_0, read_columns, write_columns
 
 #: Each metric a sweep can record: its value for one cell, read from the cell's run reports.
 METRICS = {
@@ -365,12 +365,18 @@ def _known_metric(cell: str) -> str:
     return cell
 
 
+def _at_least_1(number: int) -> int:
+    if number < 1:
+        raise ValueError(f"{number} is not a number >= 1")
+    return number
+
+
 #: The columns of a grid CSV row, in order.
 GRID_COLUMNS = (
-    Column("p", "p", int),
-    Column("n", "n", int),
+    Column("p", "p", lambda cell: _at_least_1(int(cell))),
+    Column("n", "n", lambda cell: _at_least_0(int(cell))),
     Column("metric", "metric", _known_metric),
-    Column("value", "value", float, write=lambda value: repr(float(value))),
+    Column("value", "value", lambda cell: _at_least_0(float(cell)), write=lambda value: repr(float(value))),
     Column("env_id", "env_id", str),
 )
 

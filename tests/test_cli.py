@@ -87,6 +87,19 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and named in err
 
+    def test_machine_json_nested_too_deeply_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text('{"children": [' * 3000 + '{"p": 1}' + "]}" * 3000, encoding="utf-8")
+        assert main(["run", "--algo", "empty", "--machine", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"usage error: machine JSON {cfg}: nested too deeply\n"
+
+    def test_machine_tree_50_levels_deep_runs(self, tmp_path):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text('{"children": [' * 50 + '{"p": 1}' + "]}" * 50, encoding="utf-8")
+        out = tmp_path / "r.json"
+        assert main(["run", "--algo", "empty", "--machine", str(cfg), "--out", str(out)]) == 0
+        assert read_json(out)["machine"]["children"][0]["children"]
+
     def test_machine_tree_config(self, tmp_path):
         cfg = tmp_path / "tree.json"
         cfg.write_text(json.dumps({"children": [{"p": 2, "g": 1, "l": 10}, {"p": 2, "g": 1, "l": 10}], "g": 2, "l": 20}))

@@ -10,7 +10,7 @@ import pytest
 
 from bspkit import MachineConfig, apply, engine, estimate_runtime, mkpar, nprocs, proj, put, run, run_nested, scatter
 from bspkit.algorithms import ALGORITHMS, build_program
-from bspkit.engine import DEFAULT_WORKER_CAP, make_environment, stable_digest
+from bspkit.engine import DEFAULT_WORKER_CAP, _canon, make_environment, stable_digest
 from bspkit.errors import BspError, CapacityError, ProgramError, UsageError
 from bspkit.perfmodel import sweep
 from bspkit.checks import two_by_two_tree
@@ -347,6 +347,58 @@ class TestStableDigest:
         for _ in range(300):  # checked for a cycle at depths 64, 128 and 256
             deep = [shared, deep]
         assert len(stable_digest(deep)) == 64
+
+    def test_repeated_container_that_contains_itself_is_still_a_cycle(self):
+        a = []
+        a.append(a)
+        with pytest.raises(BspError, match=r"contains itself: list -> list$"):
+            stable_digest([a, a])
+
+    @pytest.mark.parametrize("x", [[1, 2], [(1,), 2]])
+    def test_repr_that_mutates_a_sibling_does_not_leave_its_text_stale(self, x):
+        class Mutator:
+            def __init__(self, target):
+                self.target = target
+
+            def __repr__(self):
+                self.target.append(3)
+                return "Mutator()"
+
+        before = _canon(x)
+        text = _canon([x, Mutator(x), x])
+        assert text == f"list[{before},Mutator(),{_canon(x)}]" and before != _canon(x)
+
+    def test_container_whose_walk_mutates_it_is_walked_again(self):
+        class Appender:
+            def __init__(self, target):
+                self.target = target
+
+            def __repr__(self):
+                self.target.append(0)
+                return "Appender()"
+
+        grows = []
+        grows.append(Appender(grows))
+        assert _canon([grows, grows]) == "list[list[Appender(),0],list[Appender(),0,0]]"
+
+    def test_iteration_that_mutates_a_sibling_does_not_leave_its_text_stale(self):
+        x = [1]
+
+        class Touching(list):
+            def __iter__(self):
+                for item in list.__iter__(self):
+                    x.append(2)
+                    yield item
+                x.append(3)
+
+        text = "list[Touching[list[1,2],list[1,2,2]],list[1,2,2,3]]"
+        assert _canon([Touching([x, x]), x]) == text
+
+    @pytest.mark.parametrize("make", [lambda: tuple(range(64)), lambda: [(0, "a"), None]])
+    def test_value_replicated_in_every_slot_has_the_text_of_separate_copies(self, make):
+        shared, copies = make(), [make() for _ in range(1024)]
+        assert len({id(c) for c in copies}) == 1024
+        assert _canon(ParVec([shared] * 1024)) == _canon(ParVec(copies)) == "ParVec[" + ",".join([_canon(shared)] * 1024) + "]"
 
     def test_failing_repr_raises_bsp_error(self):
         class Opaque:

@@ -279,6 +279,27 @@ class TestFormats:
         text = grid_to_csv(grid)
         assert grid_to_csv(grid_from_csv(text)) == text
 
+    def test_grid_csv_round_trip_at_the_lower_bounds(self):
+        grid = sweep("broadcast", p_list=(1, 2), n_list=(0, 3), metrics=("cost", "memory"))
+        assert {row.p for row in grid.rows} == {1, 2} and {row.n for row in grid.rows} == {0, 3}
+        assert grid_from_csv(grid_to_csv(grid)) == grid
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0,3,cost,1.0,e", "0 is not a number >= 1"),
+            ("-1,-5,cost,nan,e", "-1 is not a number >= 1"),
+            ("2,-5,cost,1.0,e", "-5 is not a finite number >= 0"),
+            ("2,3,cost,-1.0,e", "-1.0 is not a finite number >= 0"),
+            ("2,3,cost,nan,e", "nan is not a finite number >= 0"),
+            ("2,3,cost,inf,e", "inf is not a finite number >= 0"),
+        ],
+    )
+    def test_grid_csv_cell_out_of_range_is_a_usage_error(self, row, message):
+        text = '# env:e={}\np,n,metric,value,env_id\n1,0,cost,0.0,e\n' + row + "\n"
+        with pytest.raises(UsageError, match=f"malformed grid CSV at line 4: {message}$"):
+            grid_from_csv(text)
+
     def test_grid_csv_bad_line_number(self):
         text = "p,n,metric,value,env_id\n2,xx,cost,1.0,e\n"
         with pytest.raises(UsageError, match="line 2"):

@@ -1,6 +1,8 @@
-"""Property tests over random machine trees (depth <= 3), flat machines (p <= 8) and send lists (p <= 9)."""
+"""Property tests over random machine trees (depth <= 3), flat machines (p <= 8), send lists (p <= 9) and nested values with shared containers."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass, fields, is_dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from bspkit.checks import sgl_pipeline
 from bspkit.engine import _canon, stable_digest
 from bspkit.errors import ProgramError, RoutingError
 from bspkit.library import BASIC_API, par_reduce
-from bspkit.model import CommMatrix, ParVec, default_sizing, h_relation, step_cost, total_p
+from bspkit.model import CommMatrix, Inbox, ParVec, default_sizing, h_relation, step_cost, total_p
 
 PARAMS = st.sampled_from((0.5, 1.0, 2.0))
 LATENCIES = st.sampled_from((0.0, 5.0, 10.0))
@@ -360,3 +362,100 @@ def test_step_cost_on_dense_traffic_follows_the_recursive_rule(tree, data):
     work = data.draw(st.lists(st.integers(0, 20), min_size=p, max_size=p))
     comm = CommMatrix(rows)
     assert step_cost(work, comm, tree) == step_cost(work, rows, tree) == reference_cost(work, comm, tree)
+
+
+class Tag(int):
+    def __repr__(self):
+        return f"Tag<{int(self)}>"
+
+
+class Word(str):
+    def __repr__(self):
+        return f"Word<{str(self)}>"
+
+
+class Label:
+    def __init__(self, text):
+        self.text = text
+
+    def __repr__(self):
+        return f"Label({self.text!r})"
+
+
+@dataclass(frozen=True)
+class Pair:
+    left: object
+    right: object
+
+
+def reference_canon(value) -> str:
+    """The canonical text of stable_digest, by plain recursion over the value."""
+    if value is None or isinstance(value, (bool, int, str, float)):
+        return repr(value)
+    if isinstance(value, bytes):
+        return "b:" + value.hex()
+    if isinstance(value, dict):
+        items = sorted(((reference_canon(k), reference_canon(v)) for k, v in value.items()), key=lambda kv: kv[0])
+        return "{" + ",".join(f"{k}:{v}" for k, v in items) + "}"
+    if is_dataclass(value):
+        return f"{type(value).__name__}(" + ",".join(f"{f.name}={reference_canon(getattr(value, f.name))}" for f in fields(value)) + ")"
+    if type(value) is Inbox:
+        return reference_canon(tuple(value))
+    if isinstance(value, (list, tuple, set, frozenset, ParVec)):
+        texts = [reference_canon(x) for x in value]
+        return f"{type(value).__name__}[" + ",".join(sorted(texts) if isinstance(value, (set, frozenset)) else texts) + "]"
+    return repr(value)
+
+
+def _hashable(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+CANON_ATOMS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-5, 5),
+    st.floats(width=16),
+    st.text("ab", max_size=2),
+    st.binary(max_size=2),
+    st.integers(-5, 5).map(Tag),
+    st.text("ab", max_size=2).map(Word),
+    st.text("ab", max_size=2).map(Label),
+)
+
+CONTAINERS = {
+    "list": list,
+    "tuple": tuple,
+    "set": lambda kids: set(filter(_hashable, kids)),
+    "frozenset": lambda kids: frozenset(filter(_hashable, kids)),
+    "dict": lambda kids: {k: v for k, v in zip(filter(_hashable, kids), reversed(kids))},
+    "pair": lambda kids: Pair(*(kids + [None, None])[:2]),
+    "parvec": ParVec,
+    "inbox": lambda kids: Inbox({s: x for s, x in enumerate(kids) if s % 3}, len(kids) + 1),
+}
+
+
+@st.composite
+def shared_values(draw):
+    """A value built bottom-up from a pool, so one container object recurs as consecutive
+    siblings, as siblings apart and at several depths, next to a twin of its kind and length."""
+    pool = draw(st.lists(CANON_ATOMS, min_size=1, max_size=4))
+    for _ in range(draw(st.integers(1, 8))):
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=6))
+        kids = [pool[i] for i in picks]
+        if kids and draw(st.booleans()):
+            kids += [kids[-1]] * draw(st.integers(1, 3))  # a run of one object
+        make = CONTAINERS[draw(st.sampled_from(sorted(CONTAINERS)))]
+        pool += [make(kids[::-1]), make(kids)]
+    root = CONTAINERS[draw(st.sampled_from(sorted(CONTAINERS)))]
+    return root([pool[-1], pool[-1], pool[-2], pool[len(pool) // 2], pool[-1]])
+
+
+@given(shared_values())
+@settings(max_examples=300, deadline=None)
+def test_canonical_text_matches_a_plain_recursive_reference(value):
+    assert _canon(value) == reference_canon(value)
