@@ -9,14 +9,14 @@ results are bit-identical across backends and processor counts.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from hashlib import blake2b
-from itertools import accumulate, chain
+from itertools import accumulate, chain, count, repeat
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
 from .bsml import apply, mkpar, nprocs, proj, put
@@ -72,7 +72,7 @@ def total_exchange(n: int) -> ParVec:
     checkable by inspection.
     """
     p = nprocs()
-    plans = mkpar(lambda s: {d: tuple([10 * s + d] * n) for d in range(p) if d != s}, work=0)
+    plans = mkpar(lambda s: {d: (10 * s + d,) * n for d in range(p) if d != s}, work=0)
     return put(plans)
 
 
@@ -96,7 +96,7 @@ def sample_sort(d: DistArray) -> DistArray:
     p = nprocs()
 
     tagged = _papply(
-        lambda i, blk: tuple(sorted((k, i, j) for j, k in enumerate(blk))),
+        lambda i, blk: tuple(sorted(zip(blk, repeat(i), count()))),
         d.blocks,
         work=_block_work,
     )
@@ -128,8 +128,9 @@ def sample_sort(d: DistArray) -> DistArray:
     bucket_plans = _papply(lambda i, blk: _partition(blk, with_splitters[i][0], p), tagged, work=_block_work)
     exchanged = put(bucket_plans)  # superstep 3: all-to-all redistribution
 
+    # the received runs are sorted and their tags distinct, so timsort merges them in the order a p-way merge would
     merged = _papply(
-        lambda i, rows: tuple(k for (k, _s, _j) in heapq.merge(*(r for r in rows if r))),
+        lambda i, rows: tuple(map(itemgetter(0), sorted(chain.from_iterable(r for r in rows if r)))),
         exchanged,
         work=_rows_work,
     )
@@ -308,8 +309,14 @@ def key_hash(key, seed: int) -> int:
     return int.from_bytes(digest, "little")
 
 
+def key_owners(keys: Iterable, seed: int, p: int) -> list[int]:
+    """key_hash(k, seed) % p for each key in order; the seed of an int key is mixed once per batch."""
+    salt = mix64(seed & _M64)
+    return [mix64((k & _M64) ^ salt) % p if isinstance(k, int) else key_hash(k, seed) % p for k in keys]
+
+
 def key_owner(key, seed: int, p: int) -> int:
-    return key_hash(key, seed) % p
+    return key_owners((key,), seed, p)[0]
 
 
 @dataclass(frozen=True)
@@ -322,9 +329,17 @@ class DistHash:
 def hash_build(pairs: Iterable[tuple]) -> DistHash:
     """Bucket pairs by key hash and distribute from the root; one superstep."""
     p = nprocs()
+    items: list[tuple] = []
+
+    def keys():  # unpacks each pair just before its key is hashed, so a malformed pair and an unhashable key fail in input order
+        for k, v in pairs:
+            items.append((k, v))
+            yield k
+
+    owners = key_owners(keys(), DEFAULT_HASH_SEED, p)
     buckets: list[list] = [[] for _ in range(p)]
-    for k, v in pairs:
-        buckets[key_owner(k, DEFAULT_HASH_SEED, p)].append((k, v))
+    for item, d in zip(items, owners):
+        buckets[d].append(item)
     pv = scatter(0, [tuple(b) for b in buckets])
     table = lmap(dict, pv, work=_block_work)
     return DistHash(table=table)
@@ -342,8 +357,8 @@ def hash_lookup(table: DistHash, queries: DistArray) -> DistArray:
 
     def route(i, qblk):
         per_owner: dict[int, list] = {}
-        for j, k in enumerate(qblk):
-            per_owner.setdefault(key_owner(k, DEFAULT_HASH_SEED, p), []).append((j, k))
+        for j, (k, d) in enumerate(zip(qblk, key_owners(qblk, DEFAULT_HASH_SEED, p))):
+            per_owner.setdefault(d, []).append((j, k))
         return {d: tuple(v) for d, v in per_owner.items()}
 
     question_plans = _papply(route, queries.blocks, work=_block_work)

@@ -56,7 +56,7 @@ def _machine_from_args(args) -> object:
                 return machine_from_dict(json.load(fh))
             except ValueError as exc:  # json.JSONDecodeError, or a file that is not UTF-8
                 raise UsageError(f"machine JSON {args.machine}: {exc}") from exc
-            except RecursionError as exc:  # from the JSON decoder or the recursive parse of the tree
+            except RecursionError as exc:  # from the JSON decoder
                 raise UsageError(f"machine JSON {args.machine}: nested too deeply") from exc
     return MachineConfig(p=args.p, g=args.g, l=args.l, r=args.r)
 

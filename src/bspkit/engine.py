@@ -35,6 +35,7 @@ from .model import (
     ParVec,
     SuperstepRecord,
     as_tree,
+    check_depth,
     default_sizing,
     machine_to_dict,
     total_p,
@@ -395,10 +396,12 @@ def run(
 
     Raises ProgramError (with the partial trace attached) if the program
     itself fails; CapacityError if the parallel backend would need more than
-    ``worker_cap`` pids; UsageError for a bad ``env`` before anything runs.
+    ``worker_cap`` pids; UsageError for a bad ``env`` or a machine tree of
+    more than ``MAX_TREE_DEPTH`` levels before anything runs.
     """
     if backend not in BACKENDS:
         raise UsageError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
+    check_depth(machine)
     p = total_p(machine)
     workers = 1
     if backend == "parallel":

@@ -25,6 +25,11 @@ DEFAULT_G = 1.0
 DEFAULT_L = 100.0
 DEFAULT_R = 1.0
 
+#: Most levels a machine tree may have, a flat machine being one level.  The
+#: tree is walked by recursion once per level, so this keeps a run well inside
+#: the interpreter's recursion limit.
+MAX_TREE_DEPTH = 100
+
 
 @dataclass(frozen=True)
 class MachineConfig:
@@ -78,6 +83,19 @@ def as_tree(machine: Machine) -> MachineTree:
     return Leaf(machine) if isinstance(machine, MachineConfig) else machine
 
 
+def check_depth(machine: Machine) -> None:
+    """Raise UsageError if the machine tree has more than MAX_TREE_DEPTH levels."""
+    level, depth = [machine], 1
+    while level := [c for m in level if isinstance(m, Node) for c in m.children]:
+        depth += 1
+        _check_level(depth)
+
+
+def _check_level(depth: int) -> None:
+    if depth > MAX_TREE_DEPTH:
+        raise UsageError(f"a machine tree may have at most {MAX_TREE_DEPTH} levels")
+
+
 def total_p(machine: Machine) -> int:
     """Total number of workers: leaf p summed over the whole tree."""
     if isinstance(machine, MachineConfig):
@@ -93,14 +111,20 @@ def machine_from_dict(obj: dict) -> Machine:
     ``{"p": 4, "g": 1, "l": 10}`` is a flat machine; ``{"children": [...],
     "g": 2, "l": 20}`` is a tree node whose children are parsed recursively.
     Keys it does not know are ignored; a value that is not an object, a
-    missing ``p`` and a parameter that is not a number raise UsageError.
+    missing ``p``, a parameter that is not a number and a tree of more than
+    MAX_TREE_DEPTH levels raise UsageError.
     """
+    return _machine_from_dict(obj, 1)
+
+
+def _machine_from_dict(obj: dict, depth: int) -> Machine:
+    _check_level(depth)
     if not isinstance(obj, dict):
         raise UsageError(f"a machine must be a JSON object, got {type(obj).__name__}")
     if "children" in obj:
         if not isinstance(obj["children"], (list, tuple)):
             raise UsageError(f"machine key 'children' must be a list, got {obj['children']!r}")
-        children = tuple(as_tree(machine_from_dict(c)) for c in obj["children"])
+        children = tuple(as_tree(_machine_from_dict(c, depth + 1)) for c in obj["children"])
         return Node(children=children, g=_number(obj, "g", DEFAULT_G), l=_number(obj, "l", DEFAULT_L))
     if "p" not in obj:
         raise UsageError("a machine needs the key 'p' (flat) or 'children' (tree)")

@@ -265,6 +265,28 @@ class TestHashing:
             loads[key_owner(k, 0x5EED, p)] += 1
         assert max(loads) <= 4 * n / p
 
+    def test_mixed_key_types_match_dict_oracle(self):
+        keys = ["k", "", b"k", b"", -1, -(2**70), 2**64, 2**64 + 5, True, False, 7, (1, "a"), (), ((b"x",), -2)]
+        pairs = [(k, i) for i, k in enumerate(keys[::2])]
+        queries = keys + ["absent", b"absent", -7, (2,)]
+
+        def program():
+            return hash_lookup(hash_build(pairs), distribute(queries))
+
+        for p in (1, 3, 4, 7):
+            assert run(program, M(p)).result.to_list() == seq_lookup(pairs, queries), p
+
+    @pytest.mark.parametrize("bad_pair_first", [True, False])
+    def test_first_malformed_pair_or_unhashable_key_fails(self, bad_pair_first):
+        class BadRepr:
+            def __repr__(self):
+                raise RuntimeError("no repr")
+
+        bad = [(3, 4, 5), (BadRepr(), 0)]
+        pairs = [(1, 2), *(bad if bad_pair_first else bad[::-1])]
+        with pytest.raises(ValueError if bad_pair_first else RuntimeError):
+            run(lambda: hash_build(pairs), M(2))
+
     def test_duplicate_key_last_write_wins(self):
         def program():
             table = hash_build([("k", 1), ("k", 2)])

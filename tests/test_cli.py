@@ -93,6 +93,13 @@ class TestRun:
         assert main(["run", "--algo", "empty", "--machine", str(cfg)]) == 2
         assert capsys.readouterr().err == f"usage error: machine JSON {cfg}: nested too deeply\n"
 
+    @pytest.mark.parametrize("depth", [*range(480, 521), 600, 800, 1000])
+    def test_machine_tree_too_deep_to_run_exit_2(self, tmp_path, capsys, depth):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text('{"children": [' * depth + '{"p": 1}' + "]}" * depth, encoding="utf-8")
+        assert main(["run", "--algo", "empty", "--machine", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("usage error: ")  # from the tree's depth bound or the JSON decoder
+
     def test_machine_tree_50_levels_deep_runs(self, tmp_path):
         cfg = tmp_path / "deep.json"
         cfg.write_text('{"children": [' * 50 + '{"p": 1}' + "]}" * 50, encoding="utf-8")

@@ -8,8 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bspkit import run
+from bspkit.algorithms import build_program, gen_keys
 from bspkit.errors import DimensionError, RoutingError, UsageError
 from bspkit.model import (
+    MAX_TREE_DEPTH,
     TRACE_CSV_HEADER,
     CommMatrix,
     CostTrace,
@@ -189,6 +192,23 @@ class TestMachineConfig:
         tree = machine_from_dict({"children": [{"p": 4}, {"children": [{"p": 1}, {"p": 1}], "g": 3, "l": 5}], "g": 2, "l": 20})
         assert isinstance(tree, Node)
         assert total_p(tree) == 6
+
+    @pytest.mark.parametrize("backend", ["simulate", "parallel"])
+    def test_tree_depth_bounded_when_parsed_and_when_run(self, backend):
+        def chain(levels):  # a tree of `levels` levels: nodes of one child above a p=2 leaf
+            tree, obj = Leaf(MachineConfig(p=2)), {"p": 2}
+            for _ in range(levels - 1):
+                tree, obj = Node(children=(tree,), g=1.0, l=1.0), {"children": [obj], "g": 1.0, "l": 1.0}
+            return tree, obj
+
+        tree, obj = chain(MAX_TREE_DEPTH)
+        assert machine_from_dict(obj) == tree
+        assert run(build_program("samplesort", 20, 1), tree, backend=backend).result.to_list() == sorted(gen_keys(20, 1))
+        tree, obj = chain(MAX_TREE_DEPTH + 1)
+        with pytest.raises(UsageError, match="at most"):
+            machine_from_dict(obj)
+        with pytest.raises(UsageError, match="at most"):
+            run(build_program("empty", 0, 1), tree, backend=backend)
 
 
 class TestNestedCost:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bspkit import Leaf, MachineConfig, Node, apply, gather, mkpar, nprocs, proj, put, run, run_nested, scatter, translate_to_bsml
+from bspkit.algorithms import distribute, key_hash, key_owner, key_owners, sample_sort, seq_sort
 from bspkit.checks import sgl_pipeline
 from bspkit.engine import _canon, stable_digest
 from bspkit.errors import ProgramError, RoutingError
@@ -459,3 +460,30 @@ def shared_values(draw):
 @settings(max_examples=300, deadline=None)
 def test_canonical_text_matches_a_plain_recursive_reference(value):
     assert _canon(value) == reference_canon(value)
+
+
+HASH_KEYS = st.one_of(
+    st.integers(-(2**70), -1),
+    st.integers(0, 2**64 - 1),
+    st.integers(2**64, 2**80),
+    st.booleans(),
+    st.text(max_size=3),
+    st.binary(max_size=3),
+    st.tuples(st.integers(-3, 3), st.text("ab", max_size=2)),
+)
+
+
+@given(st.lists(HASH_KEYS, max_size=20), st.one_of(st.sampled_from((0, 1, 0x5EED, -1, 2**64 + 3)), st.integers()), st.integers(1, 9))
+@settings(max_examples=200, deadline=None)
+def test_key_owners_is_key_owner_of_each_key(keys, seed, p):
+    owners = key_owners(keys, seed, p)
+    assert owners == [key_owner(k, seed, p) for k in keys] == [key_hash(k, seed) % p for k in keys]
+
+
+@given(st.integers(1, 9), st.lists(st.integers(-3, 3), max_size=60))
+@settings(max_examples=80, deadline=None)
+def test_sample_sort_with_many_ties_is_sorted_alike_on_both_backends(p, xs):
+    program = lambda: sample_sort(distribute(xs))
+    machine = MachineConfig(p=p, g=1.0, l=10.0)
+    assert run(program, machine).result.to_list() == seq_sort(xs)
+    assert outcome(program, machine, "simulate") == outcome(program, machine, "parallel")

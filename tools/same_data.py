@@ -9,10 +9,12 @@ at n in {0, 5, 40}; the broadcast, reduce and scan programs through
 implementation, on inputs of size n in {0, 5, 40}, and random SGL programs
 built by ``checks.sgl_pipeline`` (their roots drawn in 0..15 and taken
 modulo the machine's p), both through ``run``, ``run_nested`` and
-``translate_to_bsml``; put programs in each plan format; and programs whose
-element functions call a primitive or raise.  Every program runs on flat p
-in {1, 2, 3, 4, 7, 16}, on the 2x2 tree and on a 3-level tree, on both
-backends.  It also runs ``bspkit translate --program PROG --p P`` for
+``translate_to_bsml``; put programs in each plan format; programs whose
+element functions call a primitive or raise; and hash lookups whose keys mix
+``str``, ``bytes``, negative, big and ``bool`` ints and tuples, or whose
+input holds a malformed pair or a key whose ``repr`` raises.  Every program
+runs on flat p in {1, 2, 3, 4, 7, 16}, on the 2x2 tree and on a 3-level
+tree, on both backends.  It also runs ``bspkit translate --program PROG --p P`` for
 each of the three programs at P in {1, 4, 7}, and the measurement layer:
 ``bspkit sweep`` on a full p x n grid, on a single-p grid with
 ``--metrics memory,cost --reps 3`` and on the parallel backend with
@@ -93,7 +95,7 @@ def matrix():
         scatter,
         translate_to_bsml,
     )
-    from bspkit.algorithms import ALGORITHMS, build_program
+    from bspkit.algorithms import ALGORITHMS, build_program, distribute, hash_build, hash_lookup
     from bspkit.checks import sgl_pipeline
     from bspkit.engine import stable_digest
     from bspkit.library import BASIC_API
@@ -168,6 +170,24 @@ def matrix():
 
         return program
 
+    class BadRepr:
+        def __repr__(self):
+            raise RuntimeError("no repr")
+
+    mixed = ["k", "", "ключ", b"k", b"", -1, -(2**70), 2**64, 2**64 + 5, True, False, 7, (1, "a"), (), ((b"x",), -2)]
+    lookups = {
+        "mixed": ([(k, i) for i, k in enumerate(mixed[::2])], mixed + ["absent", b"absent", -7, (2,)]),
+        "bad-pair-first": ([(1, 2), (3, 4, 5), (BadRepr(), 0)], [1]),
+        "bad-repr-first": ([(1, 2), (BadRepr(), 0), (3, 4, 5)], [1]),
+        "bad-query": ([(1, 2)], [1, "k", BadRepr(), 2]),
+    }
+
+    def lookup_program(pairs, keys):
+        def program():
+            return hash_lookup(hash_build(pairs), distribute(keys))
+
+        return program
+
     def sgl_entries(name, make):
         """The SGL program make(p) through run, run_nested and translate_to_bsml."""
         return [
@@ -194,6 +214,8 @@ def matrix():
         entries += sgl_entries(f"sgl/{k}", sgl_program(rng))
     for form in ("sequence", "callable", "dict", "mixed"):
         entries.append((f"put/{form}", via_run(lambda p, form=form: put_program(form))))
+    for name, (pairs, keys) in lookups.items():
+        entries.append((f"hashlookup/{name}", via_run(lambda p, pairs=pairs, keys=keys: lookup_program(pairs, keys))))
     for name, action in nested.items():
         entries.append((f"nested/{name}", via_run(lambda p, action=action: nested_program(action))))
     return entries
