@@ -300,7 +300,7 @@ def key_hash(key, seed: int) -> int:
     if isinstance(key, int):
         return mix64((key & _M64) ^ mix64(seed & _M64))
     if isinstance(key, str):
-        data = key.encode("utf-8")
+        data = key.encode("utf-8", "surrogatepass")
     elif isinstance(key, bytes):
         data = key
     else:

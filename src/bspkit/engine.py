@@ -60,7 +60,7 @@ class RunContext:
 
     def __init__(self, machine: Machine, pool: ThreadPoolExecutor | None = None):
         self.machine = as_tree(machine)
-        self.p = total_p(machine)
+        self.p = self.machine.p
         self.pool = pool
         self.sgl_only = False
         self.sgl_via_put = False

@@ -15,6 +15,7 @@ import operator
 from array import array
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any, Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import DimensionError, RoutingError, UsageError
@@ -43,35 +44,46 @@ class MachineConfig:
     def __post_init__(self):
         if isinstance(self.p, bool) or not isinstance(self.p, int) or self.p < 1:
             raise DimensionError(f"p must be an integer >= 1, got {self.p!r}")
-        if not self.g > 0:
-            raise DimensionError(f"g must be > 0, got {self.g!r}")
-        if self.l < 0:
-            raise DimensionError(f"l must be >= 0, got {self.l!r}")
-        if not self.r > 0:
-            raise DimensionError(f"r must be > 0, got {self.r!r}")
+        _check_parameters(g=self.g, l=self.l, r=self.r)
+
+
+def _check_parameters(**values: float) -> None:
+    """Raise DimensionError unless g and r are finite and > 0 and l is finite and >= 0."""
+    for name, value in values.items():
+        if not ((value >= 0 if name == "l" else value > 0) and value < math.inf):
+            raise DimensionError(f"{name} must be a finite number {'>=' if name == 'l' else '>'} 0, got {value!r}")
 
 
 @dataclass(frozen=True)
 class Leaf:
-    """A leaf of a machine tree: one flat machine."""
+    """A leaf of a machine tree: one flat machine of ``p`` pids, one level deep."""
 
     config: MachineConfig
+    depth = 1
+
+    def __post_init__(self):
+        if not isinstance(self.config, MachineConfig):
+            raise DimensionError(f"a flat machine must be a MachineConfig, got {type(self.config).__name__}")
+        object.__setattr__(self, "p", self.config.p)
 
 
 @dataclass(frozen=True)
 class Node:
-    """An interior level: communication among children costs (g, l) per word/step."""
+    """An interior level: communication among children costs (g, l) per word/step; a MachineConfig child is a Leaf."""
 
     children: tuple  # tuple[MachineTree, ...]
     g: float
     l: float
 
     def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-        if not self.children:
+        children = tuple(map(as_tree, self.children))
+        if not children:
             raise DimensionError("a machine tree node needs at least one child")
-        if not self.g > 0 or self.l < 0:
-            raise DimensionError(f"bad level parameters g={self.g!r}, l={self.l!r}")
+        _check_parameters(g=self.g, l=self.l)
+        owner = tuple(i for i, child in enumerate(children) for _ in range(child.p))  # each pid's child, pids counted from the node's first
+        offsets = tuple(accumulate((child.p for child in children[:-1]), initial=0))  # each child's first pid, counted likewise
+        for name, value in (("children", children), ("p", len(owner)), ("depth", 1 + max(c.depth for c in children)), ("offsets", offsets), ("owner", owner)):
+            object.__setattr__(self, name, value)  # plain attributes, not fields: no part of ==, hash or repr
 
 
 MachineTree = Union[Leaf, Node]
@@ -80,15 +92,12 @@ Machine = Union[MachineConfig, Leaf, Node]
 
 def as_tree(machine: Machine) -> MachineTree:
     """The machine as a tree: a flat machine is a one-leaf tree."""
-    return Leaf(machine) if isinstance(machine, MachineConfig) else machine
+    return machine if isinstance(machine, (Leaf, Node)) else Leaf(machine)
 
 
 def check_depth(machine: Machine) -> None:
     """Raise UsageError if the machine tree has more than MAX_TREE_DEPTH levels."""
-    level, depth = [machine], 1
-    while level := [c for m in level if isinstance(m, Node) for c in m.children]:
-        depth += 1
-        _check_level(depth)
+    _check_level(as_tree(machine).depth)
 
 
 def _check_level(depth: int) -> None:
@@ -98,11 +107,7 @@ def _check_level(depth: int) -> None:
 
 def total_p(machine: Machine) -> int:
     """Total number of workers: leaf p summed over the whole tree."""
-    if isinstance(machine, MachineConfig):
-        return machine.p
-    if isinstance(machine, Leaf):
-        return machine.config.p
-    return sum(total_p(c) for c in machine.children)
+    return machine.p
 
 
 def machine_from_dict(obj: dict) -> Machine:
@@ -124,7 +129,7 @@ def _machine_from_dict(obj: dict, depth: int) -> Machine:
     if "children" in obj:
         if not isinstance(obj["children"], (list, tuple)):
             raise UsageError(f"machine key 'children' must be a list, got {obj['children']!r}")
-        children = tuple(as_tree(_machine_from_dict(c, depth + 1)) for c in obj["children"])
+        children = tuple(_machine_from_dict(c, depth + 1) for c in obj["children"])
         return Node(children=children, g=_number(obj, "g", DEFAULT_G), l=_number(obj, "l", DEFAULT_L))
     if "p" not in obj:
         raise UsageError("a machine needs the key 'p' (flat) or 'children' (tree)")
@@ -385,7 +390,7 @@ def step_cost(work: Sequence[int], comm: Union[CommMatrix, Sequence[Sequence[int
     """
     m = _as_comm(comm)
     tree = as_tree(machine)
-    p = total_p(tree)
+    p = tree.p
     if len(work) != p:
         raise DimensionError(f"work vector has length {len(work)}, machine has p={p}")
     if m.p != p:
@@ -402,16 +407,12 @@ def _tree_cost(t: MachineTree, work: Sequence[int], base: int, cells: list[tuple
     as crossing words, so every level reads each cell once.
     """
     if isinstance(t, Leaf):
-        sent, received = [0] * t.config.p, [0] * t.config.p
+        sent, received = [0] * t.p, [0] * t.p
         for s, d, w in cells:
             sent[s - base] += w
             received[d - base] += w
-        return _leaf_cost(t.config, max(work[base : base + t.config.p]), _h(sent, received))
-    bases, owner = [], []  # first pid of each child; child index of each pid in the block
-    for i, child in enumerate(t.children):
-        bases.append(base + len(owner))
-        owner.extend([i] * total_p(child))
-    k = len(t.children)
+        return _leaf_cost(t.config, max(work[base : base + t.p]), _h(sent, received))
+    owner, k = t.owner, len(t.children)
     sent, received = [0] * k, [0] * k
     inside: list[list[tuple[int, int, int]]] = [[] for _ in range(k)]
     for cell in cells:
@@ -421,7 +422,7 @@ def _tree_cost(t: MachineTree, work: Sequence[int], base: int, cells: list[tuple
         else:
             sent[a] += cell[2]
             received[c] += cell[2]
-    child_cost = max(_tree_cost(child, work, b, inner) for child, b, inner in zip(t.children, bases, inside))
+    child_cost = max(_tree_cost(child, work, base + offset, inner) for child, offset, inner in zip(t.children, t.offsets, inside))
     return t.g * _h(sent, received) + t.l + child_cost
 
 

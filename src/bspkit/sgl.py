@@ -25,7 +25,6 @@ from .model import (
     MachineTree,
     Node,
     ParVec,
-    total_p,
 )
 
 __all__ = [
@@ -123,10 +122,10 @@ def _scatter_sends(tree: MachineTree, root: int, sizes: list[int]) -> list[tuple
 
     def route(t: MachineTree, base: int, holder: int) -> None:
         if isinstance(t, Leaf):
-            sends.extend((holder, d, sizes[d]) for d in range(base, base + t.config.p) if d != holder)
+            sends.extend((holder, d, sizes[d]) for d in range(base, base + t.p) if d != holder)
             return
         for child in t.children:
-            end = base + total_p(child)
+            end = base + child.p
             if base <= holder < end:
                 route(child, base, holder)
             else:

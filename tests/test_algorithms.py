@@ -276,6 +276,17 @@ class TestHashing:
         for p in (1, 3, 4, 7):
             assert run(program, M(p)).result.to_list() == seq_lookup(pairs, queries), p
 
+    @pytest.mark.parametrize("backend", ["simulate", "parallel"])
+    def test_lone_surrogate_keys_match_dict_oracle(self, backend):
+        pairs = [("\ud800", 1), ("a\udfffb", 2), ("a", 3)]
+        queries = ["a\udfffb", "\ud800", "\udfff", "a"]
+
+        def program():
+            return hash_lookup(hash_build(pairs), distribute(queries))
+
+        for p in (1, 3, 4):
+            assert run(program, M(p), backend=backend).result.to_list() == seq_lookup(pairs, queries) == [2, 1, ABSENT, 3], p
+
     @pytest.mark.parametrize("bad_pair_first", [True, False])
     def test_first_malformed_pair_or_unhashable_key_fails(self, bad_pair_first):
         class BadRepr:

@@ -87,6 +87,20 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and named in err
 
+    @pytest.mark.parametrize(
+        "flags, machine",
+        [(["--l", "nan"], None), (["--g", "inf"], None), ([], '{"p": 2, "g": 1e999}'), ([], '{"children": [{"p": 1}], "l": -1e999}')],
+        ids=["l-nan", "g-inf", "file-g-1e999", "file-node-l--1e999"],
+    )
+    def test_non_finite_machine_parameter_exit_2_and_no_trace(self, tmp_path, capsys, flags, machine):
+        if machine is not None:
+            (tmp_path / "m.json").write_text(machine, encoding="utf-8")
+            flags = ["--machine", str(tmp_path / "m.json")]
+        trace = tmp_path / "t.csv"
+        assert main(["run", "--algo", "broadcast", "--p", "2", "--n", "3", *flags, "--trace", str(trace)]) == 2
+        assert "must be a finite number" in capsys.readouterr().err
+        assert not trace.exists()
+
     def test_machine_json_nested_too_deeply_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "deep.json"
         cfg.write_text('{"children": [' * 3000 + '{"p": 1}' + "]}" * 3000, encoding="utf-8")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bspkit import run
+from bspkit import gather, run, run_nested, scatter
 from bspkit.algorithms import build_program, gen_keys
 from bspkit.errors import DimensionError, RoutingError, UsageError
 from bspkit.model import (
@@ -209,6 +209,39 @@ class TestMachineConfig:
             machine_from_dict(obj)
         with pytest.raises(UsageError, match="at most"):
             run(build_program("empty", 0, 1), tree, backend=backend)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("name", ["g", "l", "r"])
+    def test_non_finite_parameters_rejected(self, name, value):
+        with pytest.raises(DimensionError, match=f"{name} must be a finite number"):
+            MachineConfig(p=2, **{name: value})
+        if name != "r":
+            with pytest.raises(DimensionError, match=f"{name} must be a finite number"):
+                Node(children=(Leaf(MachineConfig(p=2)),), **{"g": 1.0, "l": 1.0, name: value})
+
+    @pytest.mark.parametrize("backend", ["simulate", "parallel"])
+    def test_chain_of_3000_levels_built_in_python(self, backend):
+        tree = Leaf(MachineConfig(p=3))
+        for _ in range(2999):
+            tree = Node(children=(tree,), g=1.0, l=1.0)
+        assert total_p(tree) == 3
+        assert tree.depth == 3000
+        with pytest.raises(UsageError, match="at most"):
+            run(build_program("empty", 0, 1), tree, backend=backend)
+
+    def test_flat_children_are_taken_as_leaves(self):
+        tree = Node(children=(MachineConfig(p=2), MachineConfig(p=1)), g=1, l=1)
+        assert tree == Node(children=(Leaf(MachineConfig(p=2)), Leaf(MachineConfig(p=1))), g=1, l=1)
+        assert (tree.p, tree.depth, tree.offsets, tree.owner) == (3, 2, (0, 2), (0, 0, 1))
+        result, trace = run_nested(tree, lambda: gather(2, scatter(1, [(1,), (2, 3), (4, 5, 6)])))
+        assert result == [(1,), (2, 3), (4, 5, 6)]
+        # from pid 1, pid 0 shares its leaf and pid 2 is the other child; to pid 2, pid 0 forwards its leaf's block
+        assert [step.comm for step in trace.steps] == [comm_of(3, [(1, 0, 1), (1, 2, 3)]), comm_of(3, [(0, 2, 3), (1, 0, 2)])]
+
+    @pytest.mark.parametrize("child", [5, None, "p=2", Leaf])
+    def test_child_that_is_not_a_machine_rejected(self, child):
+        with pytest.raises(DimensionError, match="must be a MachineConfig"):
+            Node(children=(MachineConfig(p=2), child), g=1.0, l=1.0)
 
 
 class TestNestedCost:

@@ -196,6 +196,27 @@ def reference_cost(work, comm, tree) -> float:
     return cost(tree, 0)
 
 
+@given(trees(3))
+@settings(max_examples=100, deadline=None)
+def test_tree_layout_follows_the_recursive_definitions(tree):
+    def p(t) -> int:
+        return t.config.p if isinstance(t, Leaf) else sum(p(c) for c in t.children)
+
+    def depth(t) -> int:
+        return 1 if isinstance(t, Leaf) else 1 + max(depth(c) for c in t.children)
+
+    def check(t) -> None:
+        assert (t.p, t.depth) == (p(t), depth(t))
+        if isinstance(t, Node):
+            assert t.offsets == tuple(sum(p(c) for c in t.children[:i]) for i in range(len(t.children)))
+            assert t.owner == tuple(i for i, c in enumerate(t.children) for _ in range(p(c)))
+            for child in t.children:
+                check(child)
+
+    check(tree)
+    assert total_p(tree) == p(tree)
+
+
 @given(machines, st.data())
 @settings(max_examples=80, deadline=None)
 def test_gather_moves_the_transpose_of_scatter(machine, data):

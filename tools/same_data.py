@@ -13,8 +13,8 @@ modulo the machine's p), both through ``run``, ``run_nested`` and
 element functions call a primitive or raise; and hash lookups whose keys mix
 ``str``, ``bytes``, negative, big and ``bool`` ints and tuples, or whose
 input holds a malformed pair or a key whose ``repr`` raises.  Every program
-runs on flat p in {1, 2, 3, 4, 7, 16}, on the 2x2 tree and on a 3-level
-tree, on both backends.  It also runs ``bspkit translate --program PROG --p P`` for
+runs on flat p in {1, 2, 3, 4, 7, 16}, on the 2x2 tree, on a 3-level tree
+and on an 8-level comb tree of 15 pids, on both backends.  It also runs ``bspkit translate --program PROG --p P`` for
 each of the three programs at P in {1, 4, 7}, and the measurement layer:
 ``bspkit sweep`` on a full p x n grid, on a single-p grid with
 ``--metrics memory,cost --reps 3`` and on the parallel backend with
@@ -230,8 +230,12 @@ def machines():
         g=2.0,
         l=20.0,
     )
+    comb = Leaf(MachineConfig(p=2))  # 8 levels, each a leaf beside the next level, deep child first at odd levels
+    for level, p in enumerate((1, 3, 1, 2, 1, 3, 2), start=1):
+        tooth = Leaf(MachineConfig(p=p, g=1.0, l=10.0))
+        comb = Node(children=(comb, tooth) if level % 2 else (tooth, comb), g=0.5 * level, l=5.0 * level)
     named = [(f"p={p}", MachineConfig(p=p, g=1.0, l=10.0)) for p in FLAT_P]
-    return named + [("two_by_two_tree", two_by_two_tree()), ("three_level_tree", three_level)]
+    return named + [("two_by_two_tree", two_by_two_tree()), ("three_level_tree", three_level), ("comb_tree", comb)]
 
 
 def record(runner, machine, backend: str) -> dict:
