@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
 from hashlib import blake2b
-from itertools import accumulate, chain, count, repeat
-from operator import itemgetter
+from itertools import accumulate, chain
 from typing import Any, Callable, Iterable, Sequence
+
+import numpy as np
 
 from .bsml import apply, mkpar, nprocs, proj, put
 from .errors import UsageError, ValidationError
@@ -91,24 +92,23 @@ def sample_sort(d: DistArray) -> DistArray:
 
     Ties are broken by (key, origin pid, origin index), which makes the
     element order total and the redistribution deterministic; with
-    oversampling factor p no output block exceeds 2n/p + p elements.
+    oversampling factor p no output block exceeds 2n/p + p elements.  Each
+    block is sorted stably as plain keys, so a key's position in its sorted
+    block orders its ties as its origin index does; only the samples and
+    splitters carry the tag ``(key, pid, position)``.
     """
     p = nprocs()
 
-    tagged = _papply(
-        lambda i, blk: tuple(sorted(zip(blk, repeat(i), count()))),
-        d.blocks,
-        work=_block_work,
-    )
+    ordered = _papply(lambda i, blk: tuple(sorted(blk)), d.blocks, work=_block_work)
 
-    def local_samples(blk):
+    def local_samples(i, blk):
         m = len(blk)
         if m == 0:
             return ()
         positions = sorted({(j * m) // p for j in range(p)})
-        return tuple(blk[t] for t in positions)
+        return tuple((blk[t], i, t) for t in positions)
 
-    sample_plans = _papply(lambda i, blk: {0: local_samples(blk)}, tagged, work=1)
+    sample_plans = _papply(lambda i, blk: {0: local_samples(i, blk)}, ordered, work=1)
     at_root = put(sample_plans)  # superstep 1: sample gather
 
     def pick_splitters(rows):
@@ -125,23 +125,28 @@ def sample_sort(d: DistArray) -> DistArray:
     )
     with_splitters = put(splitter_plans)  # superstep 2: splitter broadcast
 
-    bucket_plans = _papply(lambda i, blk: _partition(blk, with_splitters[i][0], p), tagged, work=_block_work)
+    bucket_plans = _papply(lambda i, blk: _partition(i, blk, with_splitters[i][0]), ordered, work=_block_work)
     exchanged = put(bucket_plans)  # superstep 3: all-to-all redistribution
 
-    # the received runs are sorted and their tags distinct, so timsort merges them in the order a p-way merge would
+    # the runs arrive in source-pid order, so a stable sort orders equal keys by (origin pid, origin index)
     merged = _papply(
-        lambda i, rows: tuple(map(itemgetter(0), sorted(chain.from_iterable(r for r in rows if r)))),
+        lambda i, rows: tuple(sorted(chain.from_iterable(r for r in rows if r))),
         exchanged,
         work=_rows_work,
     )
     return DistArray(merged)
 
 
-def _partition(blk, splitters, p: int) -> dict[int, tuple]:
-    """Split a sorted tagged block into per-destination runs."""
+def _partition(i: int, blk, splitters) -> dict[int, tuple]:
+    """Split pid i's sorted block into per-destination runs at the tagged splitters.
+
+    Splitter ``(k, q, t)`` cuts where the tag ``(k, q, t)`` falls among the
+    block's tags ``(key, i, position)``: at its own position t when q is i,
+    after the keys equal to k when i < q, and before them when i > q.
+    """
     if not splitters:
         return {0: blk} if blk else {}
-    bounds = [bisect_left(blk, sp) for sp in splitters]
+    bounds = [t if q == i else (bisect_right if i < q else bisect_left)(blk, k) for k, q, t in splitters]
     out: dict[int, tuple] = {}
     start = 0
     for dest, end in enumerate(bounds + [len(blk)]):
@@ -177,9 +182,13 @@ def _check_bodies(bodies: Iterable[Body]) -> None:
             raise ValidationError(f"body {i} has non-positive mass {b.mass}")
 
 
+_G = 1.0  # gravitational constant
+_EPS2 = 0.01 * 0.01  # squared softening length
+_CELLS = 1 << 16  # body pairs per numpy chunk in _accels, which bounds its temporary arrays
+
+
 def _accel(i: int, positions: Sequence[tuple[float, float]], masses: Sequence[float]) -> tuple[float, float]:
     """All-pairs acceleration on body i (G = 1, softening 0.01), summed in ascending j order."""
-    g_const, eps2 = 1.0, 0.01 * 0.01
     ax = 0.0
     ay = 0.0
     xi, yi = positions[i]
@@ -188,11 +197,49 @@ def _accel(i: int, positions: Sequence[tuple[float, float]], masses: Sequence[fl
             continue
         dx = positions[j][0] - xi
         dy = positions[j][1] - yi
-        r2 = dx * dx + dy * dy + eps2
-        w = g_const * masses[j] / (r2 * math.sqrt(r2))
+        r2 = dx * dx + dy * dy + _EPS2
+        w = _G * masses[j] / (r2 * math.sqrt(r2))
         ax += w * dx
         ay += w * dy
     return ax, ay
+
+
+def _accels(rows: range, positions, masses) -> list[tuple[float, float]]:
+    """``[_accel(i, positions, masses) for i in rows]`` of float positions and masses, bit for bit, in numpy.
+
+    Every term is _accel's expression in its order, and each operation is
+    correctly rounded in numpy as in Python.  The term j == i is +0.0, and
+    each row is summed left to right from +0.0 with ``np.add.accumulate``
+    (``np.sum`` would sum pairwise).  A running sum from +0.0 is never -0.0,
+    so adding the +0.0 term leaves it unchanged.
+    """
+    xy = np.asarray(positions, dtype=float).reshape(-1, 2)
+    x, y = xy[:, 0], xy[:, 1]
+    gm = _G * np.asarray(masses, dtype=float)
+    n = len(x)
+    out: list[tuple[float, float]] = []
+    chunk = max(_CELLS // (n + 1), 1)
+    with np.errstate(all="ignore"):  # overflow and nan arise silently, as in Python float arithmetic
+        for start in range(rows.start, rows.stop, chunk):
+            i = np.arange(start, min(start + chunk, rows.stop))
+            dx = x - x[i, None]
+            dy = y - y[i, None]
+            r2 = (dx * dx + dy * dy) + _EPS2
+            w = gm / (r2 * np.sqrt(r2))
+            terms = np.zeros((2, len(i), n + 1))  # column 0 is the +0.0 each sum starts from
+            np.multiply(w, dx, out=terms[0, :, 1:])
+            np.multiply(w, dy, out=terms[1, :, 1:])
+            terms[:, np.arange(len(i)), i + 1] = 0.0
+            ax, ay = np.add.accumulate(terms, axis=2)[:, :, -1].tolist()
+            out += zip(ax, ay)
+    return out
+
+
+def _float_bodies(positions, masses) -> bool:
+    """Whether every mass is a float and every position a tuple of two floats, whose arithmetic numpy repeats exactly."""
+    return all(type(m) is float for m in masses) and all(
+        type(q) is tuple and len(q) == 2 and type(q[0]) is type(q[1]) is float for q in positions
+    )
 
 
 def nbody_step(d: DistArray, dt: float) -> DistArray:
@@ -227,8 +274,13 @@ def _replicate_and_update(blocks: ParVec, update: Callable) -> ParVec:
     flat = [b for blk in snapshot for b in blk]
     positions = [b.pos for b in flat]
     masses = [b.mass for b in flat]
+    if _float_bodies(positions, masses):
+        xy, ms = np.array(positions), np.array(masses)
+        forces = lambda rows: _accels(rows, xy, ms)
+    else:  # ints, Fractions and the like keep Python's own arithmetic, and its errors
+        forces = lambda rows: (_accel(j, positions, masses) for j in rows)
     return _papply(
-        lambda i, blk: tuple(update(b, *_accel(offsets[i] + j, positions, masses)) for j, b in enumerate(blk)),
+        lambda i, blk: tuple(update(b, *a) for b, a in zip(blk, forces(range(offsets[i], offsets[i + 1])))),
         blocks,
         work=_nbody_work(len(flat)),
     )
@@ -309,10 +361,28 @@ def key_hash(key, seed: int) -> int:
     return int.from_bytes(digest, "little")
 
 
+_SPLITMIX = tuple(map(np.uint64, (0x9E3779B97F4A7C15, 30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31)))  # mix64's constants
+
+
+def _mix64s(z: np.ndarray) -> np.ndarray:
+    """mix64 of each element of a uint64 array: numpy's uint64 arithmetic wraps modulo 2**64 as mix64's masks do."""
+    add, shift1, mul1, shift2, mul2, shift3 = _SPLITMIX
+    z = z + add
+    z = (z ^ (z >> shift1)) * mul1
+    z = (z ^ (z >> shift2)) * mul2
+    return z ^ (z >> shift3)
+
+
 def key_owners(keys: Iterable, seed: int, p: int) -> list[int]:
-    """key_hash(k, seed) % p for each key in order; the seed of an int key is mixed once per batch."""
-    salt = mix64(seed & _M64)
-    return [mix64((k & _M64) ^ salt) % p if isinstance(k, int) else key_hash(k, seed) % p for k in keys]
+    """key_hash(k, seed) % p for each key in order; the batch's int keys are mixed together as one uint64 array."""
+    batch: list = []
+    try:
+        batch.extend(keys)
+    finally:  # if the key iterator fails, the keys it gave are still hashed first, so an error of their own comes first
+        ints = [k & _M64 for k in batch if isinstance(k, int)]
+        mixed = iter(_mix64s(np.array(ints, dtype=np.uint64) ^ np.uint64(mix64(seed & _M64))).tolist())
+        owners = [(next(mixed) if isinstance(k, int) else key_hash(k, seed)) % p for k in batch]
+    return owners
 
 
 def key_owner(key, seed: int, p: int) -> int:

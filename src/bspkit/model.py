@@ -11,6 +11,7 @@ I/O with the outside world except the dict/CSV serializers at the bottom.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from array import array
 from collections import namedtuple
@@ -48,9 +49,9 @@ class MachineConfig:
 
 
 def _check_parameters(**values: float) -> None:
-    """Raise DimensionError unless g and r are finite and > 0 and l is finite and >= 0."""
+    """Raise DimensionError unless each value is a real number, g and r finite and > 0 and l finite and >= 0."""
     for name, value in values.items():
-        if not ((value >= 0 if name == "l" else value > 0) and value < math.inf):
+        if not (isinstance(value, numbers.Real) and (value >= 0 if name == "l" else value > 0) and value < math.inf):
             raise DimensionError(f"{name} must be a finite number {'>=' if name == 'l' else '>'} 0, got {value!r}")
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from enum import IntEnum
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +12,7 @@ from bspkit import MachineConfig, algorithms, mkpar, run
 from bspkit.algorithms import (
     ABSENT,
     ALGORITHMS,
+    DEFAULT_HASH_SEED,
     Body,
     broadcast,
     build_program,
@@ -20,6 +23,7 @@ from bspkit.algorithms import (
     hash_lookup,
     key_hash,
     key_owner,
+    key_owners,
     mix64,
     nbody_step,
     reduce,
@@ -36,6 +40,11 @@ from bspkit.engine import RunContext
 from bspkit.errors import UsageError, ValidationError
 
 M = lambda p: MachineConfig(p=p, g=1.0, l=10.0)
+
+
+class Colour(IntEnum):
+    RED = 1
+    WIDE = 2**64 - 1
 
 
 class TestBroadcast:
@@ -189,6 +198,19 @@ class TestNBody:
             got = run(lambda: nbody_step(distribute(bodies), dt=0.01), M(p)).result.to_list()
             assert got == want, f"p={p}"
 
+    @pytest.mark.parametrize("backend", ["simulate", "parallel"])
+    def test_int_and_fraction_bodies_match_oracle_bit_exactly(self, backend):
+        # exact int and Fraction differences round differently from float64 ones
+        bodies = [
+            Body(pos=(Fraction(1, 3), 0), vel=(0, 1), mass=1),
+            Body(pos=(1, Fraction(2, 7)), vel=(0.5, 0), mass=Fraction(3, 2)),
+            Body(pos=(-0.75, 2), vel=(0, 0), mass=2),
+            Body(pos=(2**60 + 1, 3), vel=(0, 0), mass=1),
+        ]
+        want = seq_nbody_step(bodies, dt=0.01)
+        for p in (1, 2, 3):
+            assert run(lambda: nbody_step(distribute(bodies), dt=0.01), M(p), backend=backend).result.to_list() == want, p
+
     def test_superstep_count_independent_of_n(self):
         counts = set()
         for n in (4, 32):
@@ -216,6 +238,22 @@ class TestHashing:
         assert mix64(0) == 0xE220A8397B1DCDAF
         assert mix64(1) == 0x910A2DEC89025CC1
         assert mix64(2) == 0x975835DE1C9756CE
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            [0, 2**64 - 1, 2**64, -1],
+            [True, False, 1, 0],
+            [Colour.RED, Colour.WIDE, 2**64 - 1],
+            [1, "a", b"b", (1, "x"), 2**64, "", True, (), b"", -(2**70)],
+            ["only", b"text", ("and", b"tuples")],
+            [],
+        ],
+    )
+    def test_key_owners_equal_key_hash_of_each_key(self, keys):
+        for seed in (0, DEFAULT_HASH_SEED, -1, 2**64 + 3):
+            for p in (1, 2, 7, 16):
+                assert key_owners(keys, seed, p) == [key_hash(k, seed) % p for k in keys], (seed, p)
 
     def test_key_hash_deterministic_across_types(self):
         assert key_hash("alpha", 1) == key_hash("alpha", 1)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -213,6 +214,14 @@ class TestMachineConfig:
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     @pytest.mark.parametrize("name", ["g", "l", "r"])
     def test_non_finite_parameters_rejected(self, name, value):
+        with pytest.raises(DimensionError, match=f"{name} must be a finite number"):
+            MachineConfig(p=2, **{name: value})
+        if name != "r":
+            with pytest.raises(DimensionError, match=f"{name} must be a finite number"):
+                Node(children=(Leaf(MachineConfig(p=2)),), **{"g": 1.0, "l": 1.0, name: value})
+
+    @pytest.mark.parametrize("name, value", [("g", "x"), ("l", None), ("r", [1]), ("g", 1 + 2j), ("g", Decimal("NaN")), ("l", Decimal("NaN"))])
+    def test_parameter_that_is_not_a_real_number_rejected(self, name, value):
         with pytest.raises(DimensionError, match=f"{name} must be a finite number"):
             MachineConfig(p=2, **{name: value})
         if name != "r":

@@ -2,14 +2,32 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, fields, is_dataclass
+from fractions import Fraction
+from itertools import chain, count, repeat
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bspkit import Leaf, MachineConfig, Node, apply, gather, mkpar, nprocs, proj, put, run, run_nested, scatter, translate_to_bsml
-from bspkit.algorithms import distribute, key_hash, key_owner, key_owners, sample_sort, seq_sort
+from bspkit import algorithms
+from bspkit.algorithms import (
+    DistArray,
+    _accel,
+    _accels,
+    _block_work,
+    _papply,
+    _rows_work,
+    distribute,
+    key_hash,
+    key_owner,
+    key_owners,
+    sample_sort,
+    seq_sort,
+)
 from bspkit.checks import sgl_pipeline
 from bspkit.engine import _canon, stable_digest
 from bspkit.errors import ProgramError, RoutingError
@@ -508,3 +526,85 @@ def test_sample_sort_with_many_ties_is_sorted_alike_on_both_backends(p, xs):
     machine = MachineConfig(p=p, g=1.0, l=10.0)
     assert run(program, machine).result.to_list() == seq_sort(xs)
     assert outcome(program, machine, "simulate") == outcome(program, machine, "parallel")
+
+
+def tagged_sample_sort(d):
+    """sample_sort as it was when every key carried its tag (key, pid, index) through the sort and the merge."""
+    p = nprocs()
+
+    tagged = _papply(lambda i, blk: tuple(sorted(zip(blk, repeat(i), count()))), d.blocks, work=_block_work)
+
+    def local_samples(blk):
+        m = len(blk)
+        if m == 0:
+            return ()
+        positions = sorted({(j * m) // p for j in range(p)})
+        return tuple(blk[t] for t in positions)
+
+    at_root = put(_papply(lambda i, blk: {0: local_samples(blk)}, tagged, work=1))
+
+    def pick_splitters(rows):
+        samples = sorted(chain.from_iterable(r for r in rows if r))
+        m = len(samples)
+        if m == 0 or p == 1:
+            return ()
+        return tuple(samples[min((k * m) // p, m - 1)] for k in range(1, p))
+
+    with_splitters = put(_papply(lambda i, rows: dict.fromkeys(range(p), pick_splitters(rows)) if i == 0 else {}, at_root, work=_rows_work))
+
+    def partition(blk, splitters):
+        if not splitters:
+            return {0: blk} if blk else {}
+        bounds = [bisect_left(blk, sp) for sp in splitters]
+        out = {}
+        start = 0
+        for dest, end in enumerate(bounds + [len(blk)]):
+            if end > start:
+                out[dest] = blk[start:end]
+            start = end
+        return out
+
+    exchanged = put(_papply(lambda i, blk: partition(blk, with_splitters[i][0]), tagged, work=_block_work))
+    merged = _papply(lambda i, rows: tuple(map(itemgetter(0), sorted(chain.from_iterable(r for r in rows if r)))), exchanged, work=_rows_work)
+    return DistArray(merged)
+
+
+#: Sort keys with many ties, among them equal keys of different types and both zeros.
+SORT_KEYS = st.one_of(st.integers(-3, 3), st.sampled_from((1, 1.0, True, Fraction(1), 0, 0.0, -0.0, False, Fraction(-1, 2), -0.5)))
+
+
+@given(st.integers(1, 9), st.lists(SORT_KEYS, max_size=60), st.sampled_from(("simulate", "parallel")))
+@settings(max_examples=120, deadline=None)
+def test_sample_sort_equals_the_tagged_sample_sort(p, xs, backend):
+    machine = MachineConfig(p=p, g=1.0, l=10.0)
+    got = run(lambda: sample_sort(distribute(xs)), machine, backend=backend)
+    want = run(lambda: tagged_sample_sort(distribute(xs)), machine, backend=backend)
+    assert repr(got.result.to_list()) == repr(want.result.to_list())
+    assert (got.result_digest, got.peak_words, step_tuples(got.trace)) == (want.result_digest, want.peak_words, step_tuples(want.trace))
+
+
+COORDS = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0)), st.floats(-4.0, 4.0))
+
+
+@st.composite
+def body_rows(draw):
+    """(rows, positions, masses): bodies at a few shared points, so some coincide, with ±0.0 coordinates."""
+    points = draw(st.lists(st.tuples(COORDS, COORDS), min_size=1, max_size=6))
+    positions = draw(st.lists(st.sampled_from(points), max_size=24))
+    masses = draw(st.lists(st.floats(0.01, 100.0), min_size=len(positions), max_size=len(positions)))
+    start = draw(st.integers(0, len(positions)))
+    return range(start, draw(st.integers(start, len(positions)))), positions, masses
+
+
+@given(body_rows(), st.sampled_from((1, 7, algorithms._CELLS)))
+@settings(max_examples=300, deadline=None)
+def test_numpy_accelerations_equal_the_scalar_loop_bit_for_bit(case, cells):
+    rows, positions, masses = case
+    saved, algorithms._CELLS = algorithms._CELLS, cells  # small chunks split the rows several ways
+    try:
+        got = _accels(rows, positions, masses)
+    finally:
+        algorithms._CELLS = saved
+    want = [_accel(i, positions, masses) for i in rows]
+    assert [tuple(map(float.hex, a)) for a in got] == [tuple(map(float.hex, a)) for a in want]
+    assert all(type(v) is float for a in got for v in a)
