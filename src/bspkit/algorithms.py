@@ -142,7 +142,9 @@ def _partition(i: int, blk, splitters) -> dict[int, tuple]:
 
     Splitter ``(k, q, t)`` cuts where the tag ``(k, q, t)`` falls among the
     block's tags ``(key, i, position)``: at its own position t when q is i,
-    after the keys equal to k when i < q, and before them when i > q.
+    after the keys equal to k when i < q, and before them when i > q.  The
+    cut points never decrease, so each key lands in one run even where the
+    keys have no total order (NaN).
     """
     if not splitters:
         return {0: blk} if blk else {}
@@ -152,7 +154,7 @@ def _partition(i: int, blk, splitters) -> dict[int, tuple]:
     for dest, end in enumerate(bounds + [len(blk)]):
         if end > start:
             out[dest] = blk[start:end]
-        start = end
+        start = max(start, end)
     return out
 
 

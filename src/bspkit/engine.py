@@ -23,7 +23,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, is_dataclass, fields as dc_fields
 from datetime import datetime, timezone
 from functools import cached_property
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from . import __version__
 from .errors import BspError, CapacityError, ProgramError, UsageError
@@ -225,69 +225,55 @@ def _canon(value: Any) -> str:
     """Canonical text for hashing: stable across runs for equal values.
 
     Containers are walked with an explicit stack of (children, texts, join,
-    container, ``calls`` when pushed) frames, so a value nested past the
-    recursion limit still has a digest.  A cycle makes the stack grow without
-    end, so the ids of the containers on it are compared each time its depth
-    reaches a power of two (O(1) amortised per container).  A cycle, a value
-    whose repr or iteration raises, and a repr that carries a memory address
-    (differing from process to process) raise BspError.
+    container) frames, so a value nested past the recursion limit still has
+    a digest.  A cycle makes the stack grow without end, so the ids of the
+    containers on it are compared each time its depth reaches a power of two
+    (O(1) amortised per container).  A cycle, a value whose repr or iteration
+    raises, and a repr that carries a memory address (differing from process
+    to process) raise BspError.
 
     Two shortcuts leave the text as it is.  A list, tuple or Inbox whose
-    elements all have an exact atom type is joined in one pass.  The list,
-    tuple or Inbox finished last is remembered with its text, so a value
-    replicated in consecutive slots (a broadcast) is turned into text once.
-    It is forgotten whenever code of the value's own types may run (a repr,
-    a property, an ``__iter__``), since that code may mutate it, and a
-    container whose walk ran such code is not remembered.
+    elements all have an exact atom type is joined in one pass.  The one
+    joined last is remembered with its text, which is reused when the same
+    object comes again and is a tuple, since nothing can change it: a tuple
+    replicated in consecutive slots (a broadcast) is joined once.
     """
-    stack = [(iter((value,)), [], "".join, None, None)]
+    stack = [(iter((value,)), [], "".join, None)]
     check_depth = 64
     child = value
-    last, last_text = None, ""  # the list, tuple or Inbox finished last, and its text
-    calls = 0  # values met so far whose own code may run
-
-    def drawn(children: Iterator) -> Iterator:
-        """The children of a container whose own code draws them, forgetting ``last`` at each draw."""
-        nonlocal last
-        for child in children:
-            last = None
-            yield child
+    last, last_text = None, ""  # the list, tuple or Inbox of atoms joined last, and its text
 
     try:
         while True:
-            children, texts, join, container, since = stack[-1]
+            children, texts, join, _ = stack[-1]
             for child in children:
                 if type(child) in _ATOMS:
                     texts.append(repr(child))
-                elif child is last:
+                elif child is last and type(child) is tuple:  # a list or an Inbox may have changed since
                     texts.append(last_text)
                 elif type(child) in _SEQ_JOINS:  # the common container, framed without a call
                     if not _ATOMS.issuperset(map(type, child)):
-                        stack.append((iter(child), [], _SEQ_JOINS[type(child)], child, calls))
+                        stack.append((iter(child), [], _SEQ_JOINS[type(child)], child))
                         break
                     last, last_text = child, _SEQ_JOINS[type(child)](list(map(repr, child)))
                     texts.append(last_text)
+                elif isinstance(child, (bool, int, str, float)):
+                    texts.append(repr(child))
+                elif isinstance(child, bytes):
+                    texts.append("b:" + child.hex())
+                elif (frame := _canon_frame(child)) is not None:
+                    stack.append((frame[0], [], frame[1], child))
+                    break
                 else:
-                    last, calls = None, calls + 1
-                    if isinstance(child, (bool, int, str, float)):
-                        texts.append(repr(child))
-                    elif isinstance(child, bytes):
-                        texts.append("b:" + child.hex())
-                    elif (frame := _canon_frame(child)) is not None:
-                        grandchildren = frame[0] if type(child) in _PLAIN_FRAMES else drawn(frame[0])
-                        stack.append((grandchildren, [], frame[1], child, None))
-                        break
-                    else:
-                        texts.append(repr(child))
-                        if _ADDRESS.search(texts[-1]):
-                            raise BspError(f"cannot digest a value of type {type(child).__name__}: its repr carries a memory address")
+                    texts.append(repr(child))
+                    if _ADDRESS.search(texts[-1]):
+                        raise BspError(f"cannot digest a value of type {type(child).__name__}: its repr carries a memory address")
             else:
                 stack.pop()
                 text = join(texts)
                 if not stack:
                     return text
                 stack[-1][1].append(text)
-                last, last_text = (container, text) if since == calls else (None, "")
                 continue
             if len(stack) == check_depth:
                 _reject_cycle([entry[3] for entry in stack[1:]])
@@ -324,7 +310,6 @@ def _canon_frame(value: Any) -> tuple | None:
 
 _ADDRESS = re.compile(r" at 0x[0-9A-Fa-f]+")
 _ATOMS = frozenset({type(None), bool, int, str, float})  # exact types; a subclass may have its own repr
-_PLAIN_FRAMES = frozenset({dict, set, frozenset, ParVec})  # exact types whose children are drawn without their own code
 _SEQ_JOINS = {seq: lambda texts, name=seq.__name__: f"{name}[" + ",".join(texts) + "]" for seq in (list, tuple)}
 _SEQ_JOINS[Inbox] = _SEQ_JOINS[tuple]  # an Inbox digests as the dense tuple it stands for
 

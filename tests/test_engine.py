@@ -400,6 +400,14 @@ class TestStableDigest:
         assert len({id(c) for c in copies}) == 1024
         assert _canon(ParVec([shared] * 1024)) == _canon(ParVec(copies)) == "ParVec[" + ",".join([_canon(shared)] * 1024) + "]"
 
+    def test_tuple_of_atoms_replicated_in_every_slot_is_joined_once(self, monkeypatch):
+        joined = []
+        join = engine._SEQ_JOINS[tuple]
+        monkeypatch.setitem(engine._SEQ_JOINS, tuple, lambda texts: joined.append(texts) or join(texts))
+        shared = tuple(range(64))
+        _canon(ParVec([shared] * 1024))
+        assert joined == [list(map(repr, shared))]
+
     def test_failing_repr_raises_bsp_error(self):
         class Opaque:
             def __repr__(self):

@@ -583,6 +583,24 @@ def test_sample_sort_equals_the_tagged_sample_sort(p, xs, backend):
     assert (got.result_digest, got.peak_words, step_tuples(got.trace)) == (want.result_digest, want.peak_words, step_tuples(want.trace))
 
 
+#: Float sort keys with many ties, among them both zeros and both infinities.
+FLOAT_KEYS = st.one_of(st.sampled_from((0.0, -0.0, float("inf"), float("-inf"), 1.0)), st.floats(-4.0, 4.0))
+
+
+@given(st.integers(1, 9), st.lists(st.one_of(FLOAT_KEYS, st.just(float("nan"))), max_size=40), st.sampled_from(("simulate", "parallel")))
+@settings(max_examples=200, deadline=None)
+def test_sample_sort_of_floats_with_nan_returns_the_keys_it_was_given(p, xs, backend):
+    out = run(lambda: sample_sort(distribute(xs)), MachineConfig(p=p), backend=backend).result.to_list()
+    assert sorted(map(repr, out)) == sorted(map(repr, xs))
+
+
+@given(st.integers(1, 9), st.lists(FLOAT_KEYS, max_size=40), st.sampled_from(("simulate", "parallel")))
+@settings(max_examples=150, deadline=None)
+def test_sample_sort_of_floats_without_nan_equals_the_sequential_sort(p, xs, backend):
+    out = run(lambda: sample_sort(distribute(xs)), MachineConfig(p=p), backend=backend).result.to_list()
+    assert repr(out) == repr(seq_sort(xs))
+
+
 COORDS = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0)), st.floats(-4.0, 4.0))
 
 

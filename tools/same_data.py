@@ -10,14 +10,16 @@ implementation, on inputs of size n in {0, 5, 40}, and random SGL programs
 built by ``checks.sgl_pipeline`` (their roots drawn in 0..15 and taken
 modulo the machine's p), both through ``run``, ``run_nested`` and
 ``translate_to_bsml``; put programs in each plan format; programs whose
-element functions call a primitive or raise; a sample sort of equal keys
-of four numeric types and both zeros; an n-body step whose bodies coincide
-and hold both zeros; and hash lookups whose keys mix ``str``, ``bytes``,
-negative, big and ``bool`` ints and tuples, whose int keys lie on both
-sides of 2**64, or whose input holds a malformed pair or a key whose
-``repr`` raises.  Every program
-runs on flat p in {1, 2, 3, 4, 7, 16}, on the 2x2 tree, on a 3-level tree
-and on an 8-level comb tree of 15 pids, on both backends.  It also runs ``bspkit translate --program PROG --p P`` for
+element functions call a primitive or raise; broadcasts of a list and of
+a tuple that holds a list, replicated values that the digest walks in
+every slot, through ``run``, ``run_nested`` and ``translate_to_bsml``; a
+sample sort of equal keys of four numeric types and both zeros, and one of
+floats with NaN; an n-body step whose bodies coincide and hold both
+zeros; and hash lookups whose keys mix ``str``, ``bytes``, negative, big
+and ``bool`` ints and tuples, whose int keys lie on both sides of 2**64,
+or whose input holds a malformed pair or a key whose ``repr`` raises.
+Every program runs on flat p in {1, 2, 3, 4, 7, 16}, on the 2x2 tree, on
+a 3-level tree and on an 8-level comb tree of 15 pids, on both backends.  It also runs ``bspkit translate --program PROG --p P`` for
 each of the three programs at P in {1, 4, 7}, and the measurement layer:
 ``bspkit sweep`` on a full p x n grid, on a single-p grid with
 ``--metrics memory,cost --reps 3`` and on the parallel backend with
@@ -99,7 +101,7 @@ def matrix():
         scatter,
         translate_to_bsml,
     )
-    from bspkit.algorithms import ALGORITHMS, Body, build_program, distribute, hash_build, hash_lookup, nbody_step, sample_sort
+    from bspkit.algorithms import ALGORITHMS, Body, broadcast, build_program, distribute, hash_build, hash_lookup, nbody_step, sample_sort
     from bspkit.checks import sgl_pipeline
     from bspkit.engine import stable_digest
     from bspkit.library import BASIC_API
@@ -188,6 +190,8 @@ def matrix():
     }
     # equal keys of four types and both zeros, whose order among ties the output's repr shows
     equal_keys = [1, 0.0, True, Fraction(1), -0.0, 1.0, 0, 2, False, -0.0, Fraction(1), 1.0, 0.0, True, 1, -1, 0.5, Fraction(1, 2)]
+    # NaN, which breaks the order the splitters' cut points rely on
+    nan_keys = [3.0, float("nan"), 1.0, 2.0, float("nan"), 0.0, 5.0, 4.0]
     # bodies sharing positions, and coordinates of both zeros
     coincident = [Body(pos=(x, y), vel=(0.25 * k, -0.5), mass=1.0 + k) for k, (x, y) in enumerate([(0.0, 0.0), (-0.0, 0.0), (0.5, -0.0), (0.0, 0.0), (0.5, -0.0), (-1.0, 2.0), (0.0, -0.0)])]
 
@@ -223,7 +227,10 @@ def matrix():
         entries += sgl_entries(f"sgl/{k}", sgl_program(rng))
     for form in ("sequence", "callable", "dict", "mixed"):
         entries.append((f"put/{form}", via_run(lambda p, form=form: put_program(form))))
+    entries += sgl_entries("broadcast/list", lambda p: lambda: broadcast(0, [3, "a", None, 2.5]))
+    entries += sgl_entries("broadcast/tuple-of-list", lambda p: lambda: broadcast(0, (1, [2, 3], "b")))
     entries.append(("samplesort/mixed-equal", via_run(lambda p: lambda: sample_sort(distribute(equal_keys)))))
+    entries.append(("samplesort/nan", via_run(lambda p: lambda: sample_sort(distribute(nan_keys)))))
     entries.append(("nbody/coincident", via_run(lambda p: lambda: nbody_step(distribute(coincident), dt=0.01))))
     for name, (pairs, keys) in lookups.items():
         entries.append((f"hashlookup/{name}", via_run(lambda p, pairs=pairs, keys=keys: lookup_program(pairs, keys))))
