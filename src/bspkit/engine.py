@@ -13,6 +13,7 @@ function runs with no active run, so it cannot call a primitive.
 from __future__ import annotations
 
 import hashlib
+import operator
 import os
 import platform
 import re
@@ -71,17 +72,15 @@ class RunContext:
 
     # -- accounting -------------------------------------------------------
 
-    def close_superstep(self, sends: Iterable[tuple[int, int, int]]) -> SuperstepRecord:
-        """End the open superstep with its (source, dest, words) sends; open a fresh one.
+    def close_superstep(self, comm: CommMatrix) -> SuperstepRecord:
+        """End the open superstep with its communication matrix; open a fresh one.
 
         Each pid's allocation grows by the words it receives from other pids.
         """
-        comm = CommMatrix.from_sends(self.p, sends)
-        for pid in range(self.p):
-            self.open_alloc[pid] += comm.received(pid)
         rec = SuperstepRecord.close(len(self.steps), tuple(self.open_work), comm, self.machine)
         self.steps.append(rec)
-        self.peak_words = max(self.peak_words, max(self.open_alloc, default=0))
+        received = map(comm.received, range(self.p))
+        self.peak_words = max(self.peak_words, max(map(operator.add, self.open_alloc, received), default=0))
         self.open_work = [0] * self.p
         self.open_alloc = [0] * self.p
         return rec
@@ -110,7 +109,7 @@ class RunContext:
         """Close the run; trailing local work is flushed by the final barrier."""
         self.peak_words = max(self.peak_words, max(self.open_alloc, default=0))
         if any(self.open_work):
-            self.close_superstep(())
+            self.close_superstep(CommMatrix.zeros(self.p))
         return self.partial_trace()
 
     # -- per-pid evaluation -------------------------------------------------

@@ -16,7 +16,7 @@ import operator
 from array import array
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Any, Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import DimensionError, RoutingError, UsageError
@@ -309,6 +309,45 @@ class CommMatrix:
         m._fill(p, sends)
         return m
 
+    @classmethod
+    def _from_rows(cls, p: int, counts: array, dests: list[int], words: list[int]) -> CommMatrix:
+        """Build from int columns: source s owns the next ``counts[s]`` cells, sources in pid order.
+
+        The caller checks what ``_fill`` checks per cell: every destination in
+        0..p-1 and off the diagonal, words >= 0, and no destination twice in
+        one source's cells.  Zero-word cells are dropped, and the cells are
+        sorted only when out of order.  Totals stay exact Python ints.
+        """
+        keys, vals, sent, received = array("q"), array("q"), [0] * p, [0] * p
+        if dests:
+            import numpy as np  # here, so that importing bspkit does not import numpy
+
+            keys, vals = array("q", [0]) * len(dests), array("q", [0]) * len(words)
+            dst, w = np.frombuffer(keys, np.int64), np.frombuffer(vals, np.int64)
+            dst[:], w[:] = dests, words
+            src = np.repeat(np.arange(p), np.frombuffer(counts, np.int64))
+            exact = np.int64 if sum(words) < 2**63 else object  # no pid's total overflows int64 when the sum of all does not
+            sent, received = np.zeros(p, exact), np.zeros(p, exact)
+            np.add.at(sent, src, w.astype(exact, copy=False))
+            np.add.at(received, dst, w.astype(exact, copy=False))
+            sent, received = sent.tolist(), received.tolist()
+            src *= p
+            dst += src  # the keys, in place
+            del src
+            # The keys are distinct, so they ascend unless some step between neighbours is negative (>> 63 maps it to -1).
+            # No numpy comparison or sort runs here: the first such call in a process maps 130-330 KiB more of numpy's code.
+            steps = np.diff(dst)
+            steps >>= 63
+            if np.count_nonzero(steps) or np.count_nonzero(w) < len(w):
+                cells = w.nonzero()[0]
+                order = dst[cells].tolist()
+                cells = cells[sorted(range(len(order)), key=order.__getitem__)]
+                keys, vals = array("q", dst[cells].tobytes()), array("q", w[cells].tobytes())
+        m = cls.__new__(cls)
+        for name, value in (("p", p), ("_keys", keys), ("_vals", vals), ("_sent", sent), ("_received", received)):
+            object.__setattr__(m, name, value)
+        return m
+
     @property
     def words(self) -> tuple[tuple[int, ...], ...]:
         """The dense p x p rows, built on demand."""
@@ -460,7 +499,7 @@ class SuperstepRecord:
         Each pid's work must be an integer >= 0, as ``RunContext.map_pids`` requires of declared work.
         """
         w = tuple(work)
-        if not all(isinstance(x, int) and x >= 0 for x in w):
+        if not (all(map(isinstance, w, repeat(int))) and min(w, default=0) >= 0):
             raise DimensionError(f"work must be integers >= 0, got {list(w)!r}")
         return cls(
             index=index,

@@ -179,6 +179,7 @@ def sweep(
             environments.setdefault(env_id, env_dict)
             for m in metrics:
                 rows.append(GridRow(p=int(p), n=int(n), metric=m, value=float(METRICS[m](reports)), env_id=env_id))
+            del reports  # before the next cell runs, so that two cells' results never coexist
     return SweepGrid(rows=tuple(rows), environments=tuple(environments.items()))
 
 

@@ -19,6 +19,7 @@ from . import bsml
 from .engine import RunContext, current_context, run
 from .errors import DimensionError, RoutingError
 from .model import (
+    CommMatrix,
     CostTrace,
     Leaf,
     Machine,
@@ -48,7 +49,7 @@ def scatter(root: int, chunks: Sequence) -> ParVec:
     _check_root(ctx, root)
     if ctx.sgl_via_put:
         return _put_scatter(root, chunks)
-    ctx.close_superstep(_scatter_sends(ctx.machine, root, ctx.sizes(chunks, holder=root)))
+    ctx.close_superstep(CommMatrix.from_sends(ctx.p, _scatter_sends(ctx.machine, root, ctx.sizes(chunks, holder=root))))
     return ParVec(chunks)
 
 
@@ -60,7 +61,7 @@ def gather(root: int, pv: ParVec) -> list:
     if ctx.sgl_via_put:
         return _put_gather(root, pv)
     sends = _scatter_sends(ctx.machine, root, ctx.sizes(pv.elems))
-    ctx.close_superstep((d, s, w) for s, d, w in sends)  # scatter's sends, reversed
+    ctx.close_superstep(CommMatrix.from_sends(ctx.p, ((d, s, w) for s, d, w in sends)))  # scatter's sends, reversed
     return list(pv.elems)
 
 

@@ -305,3 +305,11 @@ def test_importing_the_cli_leaves_scipy_linalg_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_python_dash_m_bspkit_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(bspkit.__file__).resolve().parents[1]))
+    cmd = [sys.executable, "-m", "bspkit", "run", "--algo", "total-exchange", "--p", "4", "--n", "1"]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["trace"]["totals"]["total_words"] == 12

@@ -9,7 +9,10 @@ at n in {0, 5, 40}; the broadcast, reduce and scan programs through
 implementation, on inputs of size n in {0, 5, 40}, and random SGL programs
 built by ``checks.sgl_pipeline`` (their roots drawn in 0..15 and taken
 modulo the machine's p), both through ``run``, ``run_nested`` and
-``translate_to_bsml``; put programs in each plan format; programs whose
+``translate_to_bsml``; put programs in each plan format, and puts of scalar
+and empty messages in descending destination order, to ``IntEnum``
+destinations, of messages of 2**62 words, with a bad destination in a dict
+plan, or with a message whose ``__len__`` raises; programs whose
 element functions call a primitive or raise; broadcasts of a list and of
 a tuple that holds a list, replicated values that the digest walks in
 every slot, through ``run``, ``run_nested`` and ``translate_to_bsml``; a
@@ -60,6 +63,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
@@ -157,6 +161,28 @@ def matrix():
 
         return program
 
+    def put_rows(row):
+        """A program whose one put sends row(s, p) from each pid s."""
+
+        def program():
+            p = nprocs()
+            return put(mkpar(lambda s: row(s, p), work=lambda s: s + 1))
+
+        return program
+
+    class Unsized:
+        def __len__(self):
+            raise ValueError("no size")
+
+    Dest = IntEnum("Dest", [(f"D{d}", d) for d in range(max(FLAT_P))])
+    puts = {
+        "descending-scalars": lambda s, p: {d: (s * d, (), "x" * d)[(s + d) % 3] for d in reversed(range(p))},
+        "intenum": lambda s, p: {Dest((s + k) % p): (s,) * k for k in (1, 2)},
+        "huge": lambda s, p: {d: range(2**62) for d in range(p) if d != s},
+        "bad-destination": lambda s, p: {0: (s,), p: (s,)} if s == p // 2 else {0: (s,)},
+        "unsized-message": lambda s, p: {0: Unsized()} if s == p - 1 else {0: (s,)},
+    }
+
     def fail(i):
         raise ValueError(f"pid {i}")
 
@@ -227,6 +253,8 @@ def matrix():
         entries += sgl_entries(f"sgl/{k}", sgl_program(rng))
     for form in ("sequence", "callable", "dict", "mixed"):
         entries.append((f"put/{form}", via_run(lambda p, form=form: put_program(form))))
+    for name, row in puts.items():
+        entries.append((f"put/{name}", via_run(lambda p, row=row: put_rows(row))))
     entries += sgl_entries("broadcast/list", lambda p: lambda: broadcast(0, [3, "a", None, 2.5]))
     entries += sgl_entries("broadcast/tuple-of-list", lambda p: lambda: broadcast(0, (1, [2, 3], "b")))
     entries.append(("samplesort/mixed-equal", via_run(lambda p: lambda: sample_sort(distribute(equal_keys)))))
