@@ -245,10 +245,11 @@ def default_sizing(value: Any) -> int:
 class CommMatrix:
     """p x p matrix of words sent per (source, destination) in one superstep.
 
-    Stored sparse: the non-zero cells as ascending keys ``s * p + d`` with
-    their word counts, plus each pid's off-diagonal sent and received totals.
-    Building costs O(nnz + p) when the cells arrive in key order (O(nnz log
-    nnz) otherwise); ``words`` is a dense view built on demand in O(p^2).
+    Stored sparse, by the one store that every constructor ends in: the
+    non-zero cells as ascending keys ``s * p + d`` with their summed word
+    counts, plus each pid's off-diagonal sent and received totals.  Building
+    costs O(nnz + p) when the cells arrive in key order (O(nnz log nnz)
+    otherwise); ``words`` is a dense view built on demand in O(p^2).
     """
 
     __slots__ = ("p", "_keys", "_vals", "_sent", "_received")
@@ -262,13 +263,11 @@ class CommMatrix:
         self._fill(p, ((s, d, w) for s, row in enumerate(rows) for d, w in enumerate(row)))
 
     def _fill(self, p: int, sends: Iterable[tuple[int, int, int]]) -> None:
-        """Validate the sends and store their sum: one pass, merged by key only if out of order."""
+        """Check each send, then store those that carry words."""
         if isinstance(p, bool) or not isinstance(p, int) or p < 0:
             raise DimensionError(f"communication matrix size must be an integer >= 0, got {p!r}")
-        keys, vals = array("q"), array("q")
-        add_key, add_val = keys.append, vals.append
-        sent, received = [0] * p, [0] * p
-        last, ordered = -1, True
+        src, dst, words = array("q"), array("q"), array("q")
+        add_src, add_dst, add_words = src.append, dst.append, words.append
         for s, d, w in sends:
             try:
                 if not (0 <= s < p and 0 <= d < p):
@@ -276,22 +275,58 @@ class CommMatrix:
                 if w <= 0:
                     if w < 0:
                         raise DimensionError(f"negative word count {w} in communication matrix")
+                    operator.index(w)  # no words, but still an integer: 0.0 and Fraction(0) fail here
                     continue
-                key = s * p + d
-                add_key(key)  # the array takes only an int: a str or float pid fails here
-                add_val(w)
+                add_src(s)  # the arrays take only ints: a str or float pid or word count fails here
+                add_dst(d)
+                add_words(w)
             except (TypeError, OverflowError):
                 if all(isinstance(pid, int) and 0 <= pid < p for pid in (s, d)):
                     raise DimensionError(f"word count {w!r} in communication matrix is not an integer below 2**63") from None
                 raise RoutingError(f"send from pid {s!r} to pid {d!r} outside 0..{p - 1}") from None
-            if key <= last:
-                ordered = False
-            last = key
-            if s != d:
-                sent[s] += w
-                received[d] += w
-        if not ordered:
-            keys, vals = _merge_cells(keys, vals)
+        self._store(p, src, dst, words)
+
+    def _store(self, p: int, src: Any, dst: array, words: array) -> None:
+        """Store checked cells, given as int64 columns; the only writer of the cells and totals.
+
+        The keys ``s * p + d`` are formed in ``dst`` in place and kept, with
+        ``words``, when they ascend and every cell carries words; otherwise
+        zero-word cells are dropped and the rest sorted, repeated keys summed.
+        A diagonal cell stays a cell but out of the totals, exact Python ints.
+        """
+        keys, vals, sent, received = dst, words, [0] * p, [0] * p
+        if len(words):
+            import numpy as np  # here, so that importing bspkit does not import numpy
+
+            # Views of the columns' memory; int64, not the longlong that np.asarray makes of an array('q'), which np.add.at takes slowly.
+            s, k, w = (np.frombuffer(column, np.int64) for column in (src, dst, words))
+            exact = np.int64 if sum(words) < 2**63 else object  # no sum of some cells overflows int64 when the sum of all does not
+            s -= k  # for a moment, zero on the diagonal: no temporary as large as a column
+            off = slice(None) if np.count_nonzero(s) == len(w) else s.nonzero()[0]
+            s += k
+            sent, received, off_words = np.zeros(p, exact), np.zeros(p, exact), w[off].astype(exact, copy=False)
+            np.add.at(sent, s[off], off_words)
+            np.add.at(received, k[off], off_words)
+            sent, received = sent.tolist(), received.tolist()
+            s *= p
+            k += s  # the keys, in place
+            # A key that does not exceed the one before gives a step below 1, which >> 63 maps to -1.
+            # No numpy comparison or sort runs here: the first such call in a process maps 130-330 KiB more of numpy's code.
+            steps = np.subtract(k[1:], k[:-1], out=s[1:])  # the sources are spent: their memory holds the steps
+            steps -= 1
+            steps >>= 63
+            if np.count_nonzero(steps) or np.count_nonzero(w) < len(w):
+                cells = w.nonzero()[0]
+                order = k[cells].tolist()
+                cells = cells[sorted(range(len(order)), key=order.__getitem__)]
+                k, w = k[cells], w[cells].astype(exact, copy=False)
+                steps = np.diff(k)
+                if np.count_nonzero(steps) < len(steps):  # a repeated key: sum the words of each key's cells
+                    firsts = np.append(0, steps.nonzero()[0] + 1)
+                    k, w = k[firsts], np.add.reduceat(w, firsts)
+                if exact is object and max(w) >= 2**63:
+                    raise DimensionError(f"word count {max(w)} in communication matrix is not an integer below 2**63")
+                keys, vals = array("q", k.tobytes()), array("q", w.astype(np.int64, copy=False).tobytes())
         for name, value in (("p", p), ("_keys", keys), ("_vals", vals), ("_sent", sent), ("_received", received)):
             object.__setattr__(self, name, value)
 
@@ -314,38 +349,16 @@ class CommMatrix:
         """Build from int columns: source s owns the next ``counts[s]`` cells, sources in pid order.
 
         The caller checks what ``_fill`` checks per cell: every destination in
-        0..p-1 and off the diagonal, words >= 0, and no destination twice in
-        one source's cells.  Zero-word cells are dropped, and the cells are
-        sorted only when out of order.  Totals stay exact Python ints.
+        0..p-1 and every word count an int >= 0.  The store does the rest.
         """
-        keys, vals, sent, received = array("q"), array("q"), [0] * p, [0] * p
+        src, dst, w = array("q"), array("q", [0]) * len(dests), array("q", [0]) * len(words)
         if dests:
             import numpy as np  # here, so that importing bspkit does not import numpy
 
-            keys, vals = array("q", [0]) * len(dests), array("q", [0]) * len(words)
-            dst, w = np.frombuffer(keys, np.int64), np.frombuffer(vals, np.int64)
-            dst[:], w[:] = dests, words
+            np.frombuffer(dst, np.int64)[:], np.frombuffer(w, np.int64)[:] = dests, words
             src = np.repeat(np.arange(p), np.frombuffer(counts, np.int64))
-            exact = np.int64 if sum(words) < 2**63 else object  # no pid's total overflows int64 when the sum of all does not
-            sent, received = np.zeros(p, exact), np.zeros(p, exact)
-            np.add.at(sent, src, w.astype(exact, copy=False))
-            np.add.at(received, dst, w.astype(exact, copy=False))
-            sent, received = sent.tolist(), received.tolist()
-            src *= p
-            dst += src  # the keys, in place
-            del src
-            # The keys are distinct, so they ascend unless some step between neighbours is negative (>> 63 maps it to -1).
-            # No numpy comparison or sort runs here: the first such call in a process maps 130-330 KiB more of numpy's code.
-            steps = np.diff(dst)
-            steps >>= 63
-            if np.count_nonzero(steps) or np.count_nonzero(w) < len(w):
-                cells = w.nonzero()[0]
-                order = dst[cells].tolist()
-                cells = cells[sorted(range(len(order)), key=order.__getitem__)]
-                keys, vals = array("q", dst[cells].tobytes()), array("q", w[cells].tobytes())
         m = cls.__new__(cls)
-        for name, value in (("p", p), ("_keys", keys), ("_vals", vals), ("_sent", sent), ("_received", received)):
-            object.__setattr__(m, name, value)
+        m._store(p, src, dst, w)
         return m
 
     @property
@@ -385,21 +398,6 @@ class CommMatrix:
 
     def __repr__(self) -> str:
         return f"CommMatrix({list(map(list, self.words))!r})"
-
-
-def _merge_cells(keys: array, vals: array) -> tuple[array, array]:
-    """Sort cells by key and sum the words of repeated keys."""
-    merged_keys, merged_vals = array("q"), array("q")
-    last = -1
-    for i in sorted(range(len(keys)), key=keys.__getitem__):
-        key = keys[i]
-        if key == last:
-            merged_vals[-1] += vals[i]
-        else:
-            merged_keys.append(key)
-            merged_vals.append(vals[i])
-            last = key
-    return merged_keys, merged_vals
 
 
 def _as_comm(comm: Union[CommMatrix, Sequence[Sequence[int]]]) -> CommMatrix:

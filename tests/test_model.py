@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from bspkit import gather, run, run_nested, scatter
 from bspkit.algorithms import build_program, gen_keys
+from bspkit.checks import two_by_two_tree
 from bspkit.errors import DimensionError, RoutingError, UsageError
 from bspkit.model import (
     MAX_TREE_DEPTH,
@@ -27,6 +30,7 @@ from bspkit.model import (
     machine_from_dict,
     machine_to_dict,
     nested_step_cost,
+    step_cost,
     superstep_cost,
     total_p,
     trace_from_csv,
@@ -111,6 +115,59 @@ class TestHRelation:
         rows2 = [list(r) for r in rows]
         rows2[s][d] += bump
         assert h_relation(CommMatrix(rows2)) >= base
+
+
+class TestCellStore:
+    """Repeated cells sum exactly, and a zero word count is checked like any other."""
+
+    @pytest.mark.parametrize(
+        "sends",
+        [
+            [(0, 1, 2**62), (0, 1, 2**62)],
+            [(0, 1, 2**62), (1, 0, 5), (0, 1, 2**62)],
+            [(1, 1, 2**62), (0, 1, 3), (1, 1, 2**62)],
+        ],
+    )
+    def test_repeats_that_sum_to_2_63_are_a_dimension_error(self, sends):
+        with pytest.raises(DimensionError, match=r"^word count 9223372036854775808 in communication matrix is not an integer below 2\*\*63$"):
+            CommMatrix.from_sends(2, sends)
+
+    def test_repeats_that_sum_to_2_63_minus_1_keep_exact_totals(self):
+        m = CommMatrix.from_sends(3, [(2, 1, 2**62), (0, 1, 2**62), (2, 1, 2**62 - 1), (0, 1, 2**62 - 1), (1, 1, 9)])
+        assert m.words == ((0, 2**63 - 1, 0), (0, 9, 0), (0, 2**63 - 1, 0))
+        assert [m.sent(i) for i in range(3)] == [2**63 - 1, 0, 2**63 - 1]
+        assert [m.received(i) for i in range(3)] == [0, 2**64 - 2, 0]
+        assert h_relation(m) == 2**64 - 2
+        assert m.total_words() == 2**64 - 2 + 9
+
+    @pytest.mark.parametrize("words", [0.0, -0.0, Fraction(0)])
+    def test_a_zero_word_count_that_is_not_an_int_is_rejected(self, words):
+        message = rf"^word count {re.escape(repr(words))} in communication matrix is not an integer below 2\*\*63$"
+        with pytest.raises(DimensionError, match=message):
+            CommMatrix.from_sends(3, [(0, 1, words)])
+        with pytest.raises(DimensionError, match=message):
+            CommMatrix([[0, words], [0, 0]])
+
+    def test_int_and_false_zero_word_counts_are_accepted_and_their_pids_are_not_checked(self):
+        m = CommMatrix.from_sends(3, [(0, 1, 0), (1, 2, False), (0.5, 1, 0), (1.0, 2, 0), (2, 0, 4)])
+        assert m == CommMatrix.from_sends(3, [(2, 0, 4)])
+        assert CommMatrix([[0, False], [0, 0]]) == CommMatrix.zeros(2)
+
+    def test_repeats_past_2_63_over_several_pids_on_the_two_by_two_tree(self):
+        tree = two_by_two_tree()
+        # each of pids 0 and 1 sends 2**63 - 1 words to pid 2 in two parts, and 2**63 - 1 words to each other in two parts
+        sends = [(0, 2, 2**62), (1, 2, 2**62), (0, 1, 2**62), (1, 0, 2**62), (0, 2, 2**62 - 1), (1, 2, 2**62 - 1), (0, 1, 2**62 - 1), (1, 0, 2**62 - 1)]
+        m = CommMatrix.from_sends(4, sends)
+        merged = CommMatrix.from_sends(4, [(0, 1, 2**63 - 1), (0, 2, 2**63 - 1), (1, 0, 2**63 - 1), (1, 2, 2**63 - 1)])
+        assert m == merged
+        assert h_relation(m) == 2**64 - 2
+        work = [3, 1, 4, 1]
+        leaf = tree.children[0].config
+        crossing = 2**64 - 2  # what pid 2, in the other child, receives
+        left = max(work[:2]) / leaf.r + leaf.g * (2**63 - 1) + leaf.l
+        right = max(work[2:]) / leaf.r + leaf.g * 0 + leaf.l
+        assert step_cost(work, m, tree) == tree.g * crossing + tree.l + max(left, right)
+        assert step_cost(work, m, tree) == step_cost(work, merged, tree)
 
 
 class TestSuperstepCost:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from array import array
 from collections.abc import Mapping, Sequence
 from enum import IntEnum
 from pathlib import Path
@@ -112,6 +113,29 @@ def test_proj_matches_the_all_to_all_reference(p, data):
     assert report.result == tuple(values)
     assert step.comm == expected
     assert (step.comm._sent, step.comm._received) == (expected._sent, expected._received)
+
+
+@st.composite
+def put_columns(draw):
+    """p and a put's columns: sources in pid order, each source's destinations off the diagonal and in any order, zero-word cells included."""
+    p = draw(st.integers(1, 9))
+    counts, dests, words = array("q", [0]) * p, [], []
+    for s in range(p):
+        row = draw(st.permutations([d for d in range(p) if d != s]))[: draw(st.integers(0, p - 1))]
+        counts[s] = len(row)
+        dests += row
+        words += draw(st.lists(st.one_of(st.integers(0, 3), st.just(2**63 - 1)), min_size=len(row), max_size=len(row)))
+    return p, counts, dests, words
+
+
+@given(put_columns())
+@settings(max_examples=200, deadline=None)
+def test_the_columns_constructor_stores_what_from_sends_stores(columns):
+    p, counts, dests, words = columns
+    sources = [s for s in range(p) for _ in range(counts[s])]
+    rows = CommMatrix._from_rows(p, counts, list(dests), list(words))
+    sends = CommMatrix.from_sends(p, zip(sources, dests, words))
+    assert (rows._keys, rows._vals, rows._sent, rows._received) == (sends._keys, sends._vals, sends._sent, sends._received)
 
 
 class Sized:

@@ -36,6 +36,16 @@ sha256 of its stdout and its stderr, and for each file it wrote, with every
 ``timestamp`` value masked: for a JSON object, each top-level key's number
 or the sha256 of any other value; for any other file, the sha256 of the file.
 
+Last, it builds communication matrices with the public constructors:
+``CommMatrix(rows)`` with diagonal and zero-word cells,
+``CommMatrix.from_sends`` with repeated, diagonal, zero-word and
+out-of-order cells and with repeats whose words sum past 2**63, and
+``transpose``.  Each matrix's record is the sha256 of its ``words``, every
+pid's sent and received words, its h-relation and its ``step_cost`` on flat
+p=4, the 2x2 tree and the comb tree.  Two more records hold what
+``from_sends`` makes of repeats whose sum is 2**63 and of a zero word count
+given as a float: the error's type and message, or the matrix's words.
+
 A record is, for a run that succeeds, its result digest, peak words per pid
 and two sha256s of per-step tuples: ``counts`` of ``(index, h, words,
 comm.words)`` and ``costs`` of ``(work, max_work, cost)``; for a run that
@@ -310,7 +320,7 @@ def emit() -> None:
             for backend in BACKENDS:
                 key = f"{name} @ {machine_name} / {backend}"
                 print(json.dumps({"key": key, "record": record(runner, machine, backend)}, sort_keys=True))
-    for key, dump in [*translate_dumps(), *measurement_records()]:
+    for key, dump in [*translate_dumps(), *measurement_records(), *comm_records()]:
         print(json.dumps({"key": key, "record": dump}, sort_keys=True))
 
 
@@ -353,6 +363,42 @@ def measurement_records():
             files = {path.name: file_record(path.read_text(encoding="utf-8")) for path in sorted(Path(tmp).iterdir()) if path not in written}
             written.update(Path(tmp).iterdir())
             yield f"cli/{name}", {"exit": code, "stdout": sha256(out.getvalue()), "stderr": sha256(err.getvalue()), "files": files}
+
+
+def comm_records():
+    """(key, record) of each matrix built by a public ``CommMatrix`` constructor, and of two inputs they may reject."""
+    from bspkit.model import CommMatrix, h_relation, step_cost
+
+    def rows(p):  # diagonal and zero-word cells
+        return CommMatrix([[(3 * s + 5 * d) % 4 for d in range(p)] for s in range(p)])
+
+    def huge(p):  # repeats that sum to 2**63 - 1 in a cell, and totals past 2**63 per pid
+        return CommMatrix.from_sends(p, [(s, (s + k) % p, w) for s in range(p) for k, w in ((1, 2**62), (2, 2**61), (1, 2**62 - 1))])
+
+    built = {
+        "rows": rows,
+        "sends/repeated": lambda p: CommMatrix.from_sends(p, [(s, (s + k) % p, k + 1) for s in reversed(range(p)) for k in (1, 3, 1)]),
+        "sends/diagonal": lambda p: CommMatrix.from_sends(p, [(s, d, s + d) for s in range(p) for d in (s, p - 1 - s)]),
+        "sends/zero-words": lambda p: CommMatrix.from_sends(p, [(0.5, 0, 0), *((s, (2 * s) % p, s % 2) for s in reversed(range(p))), (p - 1, 0, False)]),
+        "sends/huge": huge,
+        "transpose/rows": lambda p: rows(p).transpose(),
+        "transpose/huge": lambda p: huge(p).transpose(),
+    }
+    for machine_name, machine in machines():
+        if machine_name not in ("p=4", "two_by_two_tree", "comb_tree"):
+            continue
+        p = machine.p
+        for name, make in built.items():
+            m = make(p)
+            words = hashlib.sha256(repr(m.words).encode("utf-8")).hexdigest()
+            cost = step_cost([pid % 3 for pid in range(p)], m, machine)
+            yield f"comm/{name} @ {machine_name}", {"words": words, "sent": list(map(m.sent, range(p))), "received": list(map(m.received, range(p))), "h": h_relation(m), "cost": cost}
+    for name, p, sends in (("repeats-reaching-2**63", 2, [(0, 1, 2**62), (0, 1, 2**62)]), ("zero-words-as-float", 3, [(0, 1, 0.0)])):
+        try:
+            result = {"words": CommMatrix.from_sends(p, sends).words}
+        except Exception as exc:  # a rejected input is a record too
+            result = {"error": type(exc).__name__, "message": str(exc)}
+        yield f"comm/sends/{name}", result
 
 
 def collect(src: str) -> dict[str, dict]:
